@@ -10,15 +10,7 @@
 #   ./ci.sh --update-bench      re-measure and commit a new bench baseline
 #                               (for *intentional* performance changes)
 #
-# Stages: fmt, clippy, doc, tests, drill, membership, fairness, bench.
-#
-# The membership stage runs the dynamic-membership drill
-# (tests/tests/membership.rs): gossip-replicated routers, a router killed
-# mid-stream, a node joining mid-stream, and a deterministic
-# fault-injection plan (drops, duplicates, a partition window) under
-# open-loop Poisson traffic — every admitted request must complete
-# bit-identically against the single-process oracle. Pinned to one
-# kernel thread and a wall-clock budget like the drill.
+# Stages: fmt, clippy, doc, tests, drill, fairness, bench.
 #
 # The fairness stage runs the adversarial multi-tenant suite
 # (tests/tests/fairness.rs): a flooding batch tenant vs an interactive
@@ -26,12 +18,17 @@
 # under saturation, and sim-vs-live policy-ranking agreement — pinned to
 # one kernel thread and a wall-clock budget like the drill.
 #
-# The drill stage runs the cluster chaos drill (tests/tests/cluster.rs):
-# a 3-node serving cluster behind fluid-router, Poisson traffic, a node
-# killed and restarted mid-stream, then a rolling hot swap — pinned to
-# one kernel thread (the 1-core CI host's honest configuration) and to a
-# wall-clock budget so a routing hang fails loudly instead of stalling
-# the pipeline.
+# The drill stage runs both schedules of the cluster drill
+# (tests/tests/cluster.rs) against announced nodes behind fluid-router
+# under open-loop Poisson traffic: the chaos schedule (a node killed and
+# restarted mid-stream, then a rolling hot swap) and the fault schedule
+# (gossip-replicated routers, a router killed mid-stream, a node joining
+# mid-stream, and a deterministic fault-injection plan — drops,
+# duplicates, a partition window). Every admitted request must complete
+# bit-identically against the single-process oracle. Pinned to one
+# kernel thread (the 1-core CI host's honest configuration) and to a
+# wall-clock budget so a routing, gossip or shard-rebuild hang fails
+# loudly instead of stalling the pipeline.
 #
 # The bench stage is a perf regression gate: it re-runs
 # `bench_kernels --quick` and fails if any committed timing metric in
@@ -54,8 +51,8 @@ for arg in "$@"; do
     case "$arg" in
         --fast) FAST=1 ;;
         --update-bench) UPDATE_BENCH=1 ;;
-        fmt|clippy|doc|tests|drill|membership|fairness|bench) STAGES+=("$arg") ;;
-        *) echo "unknown argument: $arg (stages: fmt clippy doc tests drill membership fairness bench; flags: --fast --update-bench)"; exit 2 ;;
+        fmt|clippy|doc|tests|drill|fairness|bench) STAGES+=("$arg") ;;
+        *) echo "unknown argument: $arg (stages: fmt clippy doc tests drill fairness bench; flags: --fast --update-bench)"; exit 2 ;;
     esac
 done
 if [ "${#STAGES[@]}" -eq 0 ]; then
@@ -64,7 +61,7 @@ if [ "${#STAGES[@]}" -eq 0 ]; then
     elif [ "$UPDATE_BENCH" -eq 1 ]; then
         STAGES=(bench)
     else
-        STAGES=(fmt clippy doc tests drill membership fairness bench)
+        STAGES=(fmt clippy doc tests drill fairness bench)
     fi
 fi
 # --update-bench means the bench stage, whatever else was asked for — it
@@ -124,21 +121,13 @@ stage_tests() {
 }
 
 stage_drill() {
-    # 300 s is ~10× the drill's healthy wall clock (compile excluded: the
-    # tests stage has already built the workspace when the full pipeline
+    # 600 s covers both drill schedules plus the replay test many times
+    # over (healthy wall clock is ~10 s; compile excluded: the tests
+    # stage has already built the workspace when the full pipeline
     # runs); hitting the budget means a hang, which is exactly the class
     # of bug the drill exists to catch.
-    FLUID_THREADS=1 timeout 300 \
+    FLUID_THREADS=1 timeout 600 \
         cargo test -q -p fluid-integration-tests --test cluster
-}
-
-stage_membership() {
-    # The membership drill injects faults on a deterministic schedule and
-    # kills a live router mid-stream, so like the chaos drill it gets one
-    # kernel thread and a wall-clock budget: a gossip or rebuild hang
-    # fails loudly instead of stalling the pipeline.
-    FLUID_THREADS=1 timeout 300 \
-        cargo test -q -p fluid-integration-tests --test membership
 }
 
 stage_fairness() {

@@ -10,8 +10,8 @@
 //! | `loadgen` | drive a serving instance (in-proc or TCP) and report metrics |
 //! | `autoscale` | run the elasticity controller against a Poisson traffic ramp |
 //! | `reload`  | zero-downtime model hot-swap under live load |
-//! | `route`   | shard traffic across a local cluster through the router tier (`--routers 2+`: announced nodes behind gossip-replicated routers) |
-//! | `drill`   | run the chaos cluster drill and report its verdict (`--faults`: the fault-injected membership drill) |
+//! | `route`   | shard traffic across a local cluster of announced nodes through the router tier (`--routers 2+`: gossip-replicated routers) |
+//! | `drill`   | run the cluster drill and report its verdict (default: the chaos schedule; `--faults`: the fault schedule) |
 //! | `fig2`    | regenerate the paper's Fig. 2 (both panels) |
 //! | `help`    | usage |
 
@@ -30,10 +30,7 @@ use fluid_models::{
 };
 use fluid_nn::accuracy;
 use fluid_perf::SystemModel;
-use fluid_router::{
-    route_tcp, run_drill, run_membership_drill, DrillConfig, DynamicCluster, DynamicClusterConfig,
-    LocalCluster, MembershipDrillConfig, RouterConfig,
-};
+use fluid_router::{run_drill, DrillConfig, DynamicCluster, DynamicClusterConfig};
 use fluid_serve::{
     loadgen, AutoscaleConfig, Autoscaler, EngineBackend, QuantBackend, ServeConfig, Server,
     TcpClient, TenancyConfig, TenantClass, TenantPolicy,
@@ -104,24 +101,26 @@ USAGE:
                   (--new-precision defaults to --precision; setting them
                    apart runs the f32<->int8 hot-swap A/B under load)
   fluidctl route  [--nodes N] [--workers-per-node N] [--replication N]
-                  [--routers N] [--listen ADDR] [--requests N] [--clients N]
+                  [--routers N] [--requests N] [--clients N]
                   [--seed N] [--model-file PATH] [--max-batch N]
                   [--max-wait-ms N] [--queue-cap N]
-                  (boots an in-proc cluster behind a router; with
-                   --routers 2+ the nodes announce themselves to
-                   gossip-replicated routers and clients spread over the
-                   whole router list)
-  fluidctl drill  [--nodes N] [--workers-per-node N] [--replication N]
-                  [--lambda F] [--requests N] [--concurrency N]
-                  [--kill-cycles N] [--kill-pause-ms N] [--no-swap]
+                  (boots an in-proc cluster whose nodes announce
+                   themselves to the router(s); with --routers 2+ the
+                   routers gossip and clients spread over the whole
+                   router list)
+  fluidctl drill  [--faults] [--nodes N] [--workers-per-node N]
+                  [--routers N] [--replication N] [--lambda F]
+                  [--requests N] [--concurrency N] [--kill-cycles N]
+                  [--kill-pause-ms N] [--no-swap] [--no-kill] [--no-join]
+                  [--no-partition] [--drop-p F] [--duplicate-p F]
                   [--seed N] [--model-file PATH] [--max-batch N]
-                  [--max-wait-ms N] [--queue-cap N] (chaos cluster drill)
-                  [--faults] [--routers N] [--drop-p F] [--duplicate-p F]
-                  [--no-kill] [--no-join] [--no-partition]
-                  (--faults runs the membership drill instead: announced
-                   nodes behind gossip-replicated routers under a seeded
-                   fault plan — a router kill, a mid-run node join, and a
-                   node partition window, each switchable off)
+                  [--max-wait-ms N] [--queue-cap N]
+                  (one drill, every flag honoured on every run; --faults
+                   only switches the defaults from the chaos schedule —
+                   one router, a node kill/restart cycle, a rolling swap
+                   — to the fault schedule: two gossiping routers, a
+                   router kill, a node join, and a seeded fault plan with
+                   a node partition window)
   fluidctl fig2   [--quick]
   fluidctl help
 
@@ -801,254 +800,94 @@ fn cmd_route(args: &ArgMap) -> Result<(), CliError> {
     let requests = args.usize_or("requests", 120)?;
     let clients = args.usize_or("clients", 4)?.max(1);
     let seed = args.u64_or("seed", 42)?;
-    let listen = args.str_or("listen", "127.0.0.1:0").to_owned();
 
-    // `RouterConfig` is `#[non_exhaustive]`, hence mutation over a literal.
-    let mut router_cfg = RouterConfig::default();
-    router_cfg.replication = replication;
-
-    if routers >= 2 {
-        // The replicated tier: nodes announce themselves (Join +
-        // heartbeats) instead of being statically wired, the routers share
-        // membership and health over anti-entropy gossip, and the clients
-        // spread over the whole router list.
-        let mut cluster_cfg = DynamicClusterConfig::default();
-        cluster_cfg.nodes = nodes;
-        cluster_cfg.workers_per_node = workers;
-        cluster_cfg.routers = routers;
-        cluster_cfg.serve = serve_config(args)?;
-        cluster_cfg.router = router_cfg;
-        cluster_cfg.seed = seed;
-        let cluster = DynamicCluster::boot(&net, &spec, cluster_cfg)
-            .map_err(|e| CliError::Run(e.to_string()))?;
-        if !cluster.wait_converged(Duration::from_secs(30)) {
-            return Err(CliError::Run(
-                "routers never converged on the announced membership".into(),
-            ));
-        }
-        let addrs: Vec<String> = cluster.router_addrs().to_vec();
-        println!(
-            "{routers} gossip-replicated routers ({}): {nodes} announced nodes × {workers} \
-             workers, replication {replication}; driving {clients} closed-loop clients \
-             across the router list...",
-            addrs.join(", ")
-        );
-        let inputs = loadgen_inputs(seed);
-        let report = loadgen::run_closed_loop(
-            |i| TcpClient::connect(&addrs[i % addrs.len()]),
-            clients,
-            requests,
-            &inputs,
-        )
-        .map_err(|e| CliError::Run(e.to_string()))?;
-        println!("{report}");
-        for i in 0..cluster.routers_len() {
-            println!("{}", cluster.router(i).router().metrics());
-        }
-        return Ok(());
+    // The config structs are `#[non_exhaustive]`, hence mutation over
+    // literals. Nodes announce themselves (Join + heartbeats), several
+    // routers share membership and health over anti-entropy gossip, and
+    // the clients spread over the whole router list.
+    let mut cluster_cfg = DynamicClusterConfig::default();
+    cluster_cfg.nodes = nodes;
+    cluster_cfg.workers_per_node = workers;
+    cluster_cfg.routers = routers;
+    cluster_cfg.serve = serve_config(args)?;
+    cluster_cfg.router.replication = replication;
+    cluster_cfg.seed = seed;
+    let cluster =
+        DynamicCluster::boot(&net, &spec, cluster_cfg).map_err(|e| CliError::Run(e.to_string()))?;
+    if !cluster.wait_converged(Duration::from_secs(30)) {
+        return Err(CliError::Run(
+            "routers never converged on the announced membership".into(),
+        ));
     }
-
-    let cluster = LocalCluster::boot(&net, &spec, nodes, workers, serve_config(args)?, router_cfg)
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    let router = cluster.router().clone();
-
-    let listener = TcpListener::bind(&listen).map_err(|e| CliError::Run(e.to_string()))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| CliError::Run(e.to_string()))?
-        .to_string();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let front = {
-        let (router, shutdown) = (router.clone(), Arc::clone(&shutdown));
-        std::thread::spawn(move || route_tcp(listener, router, shutdown))
-    };
+    let addrs: Vec<String> = cluster.router_addrs().to_vec();
     println!(
-        "router on {addr}: {nodes} nodes × {workers} workers, replication {replication}; \
-         driving {clients} closed-loop clients..."
+        "{routers} router(s) ({}): {nodes} announced nodes × {workers} workers, replication \
+         {replication}; driving {clients} closed-loop clients across the router list...",
+        addrs.join(", ")
     );
-
     let inputs = loadgen_inputs(seed);
-    let report =
-        loadgen::run_closed_loop(|_| TcpClient::connect(&addr), clients, requests, &inputs)
-            .map_err(|e| CliError::Run(e.to_string()))?;
+    let report = loadgen::run_closed_loop(
+        |i| TcpClient::connect(&addrs[i % addrs.len()]),
+        clients,
+        requests,
+        &inputs,
+    )
+    .map_err(|e| CliError::Run(e.to_string()))?;
     println!("{report}");
-
-    shutdown.store(true, Ordering::SeqCst);
-    front
-        .join()
-        .map_err(|_| CliError::Run("router front-end panicked".into()))?
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    println!("{}", router.metrics());
+    for i in 0..cluster.routers_len() {
+        println!("{}", cluster.router(i).router().metrics());
+    }
     Ok(())
 }
 
-fn cmd_membership_drill(args: &ArgMap) -> Result<(), CliError> {
-    // `MembershipDrillConfig` is `#[non_exhaustive]`, hence mutation.
-    let mut cfg = MembershipDrillConfig::default();
+fn cmd_drill(args: &ArgMap) -> Result<(), CliError> {
+    // One drill, two schedules: `--faults` only picks which defaults the
+    // other flags override. `DrillConfig` is `#[non_exhaustive]`, hence
+    // mutation over a literal.
+    let mut cfg = if args.flag("faults") {
+        DrillConfig::faults()
+    } else {
+        DrillConfig::default()
+    };
     cfg.nodes = args.usize_or("nodes", cfg.nodes)?;
     cfg.workers_per_node = args
         .usize_or("workers-per-node", cfg.workers_per_node)?
         .max(1);
     cfg.routers = args.usize_or("routers", cfg.routers)?;
     cfg.replication = args.usize_or("replication", cfg.replication)?;
-    cfg.lambda = f64::from(args.f32_or("lambda", 120.0)?);
+    cfg.lambda = f64::from(args.f32_or("lambda", cfg.lambda as f32)?);
     cfg.requests = args.usize_or("requests", cfg.requests)?;
     cfg.concurrency = args.usize_or("concurrency", cfg.concurrency)?.max(1);
-    cfg.kill_router = !args.flag("no-kill");
-    cfg.join_node = !args.flag("no-join");
+    cfg.kill_router &= !args.flag("no-kill");
+    cfg.join_node &= !args.flag("no-join");
     if args.flag("no-partition") {
         cfg.partition = None;
     }
-    cfg.drop_p = f64::from(args.f32_or("drop-p", 0.02)?);
-    cfg.duplicate_p = f64::from(args.f32_or("duplicate-p", 0.02)?);
-    cfg.seed = args.u64_or("seed", cfg.seed)?;
-    cfg.serve = serve_config(args)?;
-    // Turn `run_membership_drill`'s panicking preconditions into flag
-    // errors: the CLI should refuse bad configs, not crash on them.
-    if cfg.nodes < 2 {
-        return Err(CliError::Run(
-            "--nodes must be at least 2 (a one-node cluster is just `serve`)".into(),
-        ));
-    }
-    if cfg.kill_router && cfg.routers < 2 {
-        return Err(CliError::Run(
-            "killing the only router is guaranteed unavailability; \
-             raise --routers or pass --no-kill"
-                .into(),
-        ));
-    }
-    if cfg.partition.is_some() && cfg.replication < 2 {
-        return Err(CliError::Run(
-            "--replication 1 under a partition is guaranteed data loss; \
-             raise --replication or pass --no-partition"
-                .into(),
-        ));
-    }
-    if !(cfg.lambda.is_finite() && cfg.lambda > 0.0) {
-        return Err(CliError::Run(format!(
-            "--lambda must be a positive arrival rate, got {}",
-            cfg.lambda
-        )));
-    }
-    if cfg.requests == 0 {
-        return Err(CliError::Run("--requests must be at least 1".into()));
-    }
-    for (flag, p) in [("drop-p", cfg.drop_p), ("duplicate-p", cfg.duplicate_p)] {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(CliError::Run(format!(
-                "--{flag} must be a probability in [0, 1], got {p}"
-            )));
-        }
-    }
-    let (net, spec) = serving_model(args)?;
-
-    println!(
-        "membership drill: {} announced nodes × {} workers behind {} gossip-replicated \
-         routers, replication {}, λ = {:.0} req/s, {} requests{}{}{}...",
-        cfg.nodes,
-        cfg.workers_per_node,
-        cfg.routers,
-        cfg.replication,
-        cfg.lambda,
-        cfg.requests,
-        if cfg.kill_router {
-            "; killing one router mid-run"
-        } else {
-            ""
-        },
-        if cfg.join_node {
-            "; joining one node mid-run"
-        } else {
-            ""
-        },
-        if cfg.partition.is_some() {
-            "; partitioning node-0"
-        } else {
-            ""
-        }
-    );
-    let report =
-        run_membership_drill(&net, &spec, cfg).map_err(|e| CliError::Run(e.to_string()))?;
-    println!("{report}");
-    if !report.passed() {
-        return Err(CliError::Run(
-            "membership drill FAILED: admitted traffic was dropped, refused downstream, \
-             answered with non-oracle logits, or the routers never re-converged \
-             (see report above)"
-                .into(),
-        ));
-    }
-    Ok(())
-}
-
-fn cmd_drill(args: &ArgMap) -> Result<(), CliError> {
-    // `--faults` switches to the membership drill: announced nodes,
-    // replicated routers, and a seeded fault plan instead of the static
-    // kill/restart chaos cycle.
-    if args.flag("faults") {
-        return cmd_membership_drill(args);
-    }
-    // `DrillConfig` is `#[non_exhaustive]`, hence mutation over a literal.
-    let mut cfg = DrillConfig::default();
-    cfg.nodes = args.usize_or("nodes", cfg.nodes)?;
-    cfg.workers_per_node = args
-        .usize_or("workers-per-node", cfg.workers_per_node)?
-        .max(1);
-    cfg.replication = args.usize_or("replication", cfg.replication)?;
-    cfg.lambda = f64::from(args.f32_or("lambda", 150.0)?);
-    cfg.requests = args.usize_or("requests", cfg.requests)?;
-    cfg.concurrency = args.usize_or("concurrency", cfg.concurrency)?.max(1);
+    cfg.drop_p = f64::from(args.f32_or("drop-p", cfg.drop_p as f32)?);
+    cfg.duplicate_p = f64::from(args.f32_or("duplicate-p", cfg.duplicate_p as f32)?);
     cfg.kill_cycles = args.usize_or("kill-cycles", cfg.kill_cycles)?;
-    cfg.kill_pause = Duration::from_millis(args.u64_or("kill-pause-ms", 150)?);
-    cfg.rolling_swap = !args.flag("no-swap");
+    cfg.rolling_swap &= !args.flag("no-swap");
+    cfg.chaos_pause =
+        Duration::from_millis(args.u64_or("kill-pause-ms", cfg.chaos_pause.as_millis() as u64)?);
     cfg.seed = args.u64_or("seed", cfg.seed)?;
     cfg.serve = serve_config(args)?;
-    // Turn `run_drill`'s panicking preconditions into flag errors: the CLI
-    // should refuse bad configs, not crash on them.
-    if cfg.nodes < 2 {
-        return Err(CliError::Run(
-            "--nodes must be at least 2 (a one-node cluster is just `serve`)".into(),
-        ));
-    }
-    if cfg.replication < 2 && cfg.kill_cycles > 0 {
-        return Err(CliError::Run(
-            "--replication 1 under kill cycles is guaranteed data loss; \
-             raise --replication or pass --kill-cycles 0"
-                .into(),
-        ));
-    }
-    if !(cfg.lambda.is_finite() && cfg.lambda > 0.0) {
-        return Err(CliError::Run(format!(
-            "--lambda must be a positive arrival rate, got {}",
-            cfg.lambda
-        )));
-    }
-    if cfg.requests == 0 {
-        return Err(CliError::Run("--requests must be at least 1".into()));
-    }
+    // `run_drill` panics on a config its redundancy cannot cover; the CLI
+    // refuses the same configs as flag errors instead.
+    cfg.check()
+        .map_err(|why| CliError::Run(format!("drill config refused: {why}")))?;
     let (net, spec) = serving_model(args)?;
 
     println!(
-        "chaos drill: {} nodes × {} workers, replication {}, λ = {:.0} req/s, \
-         {} requests, {} kill cycles{}...",
-        cfg.nodes,
-        cfg.workers_per_node,
-        cfg.replication,
-        cfg.lambda,
-        cfg.requests,
-        cfg.kill_cycles,
-        if cfg.rolling_swap {
-            ", then a rolling swap"
-        } else {
-            ""
-        }
+        "drill: {} announced nodes × {} workers behind {} router(s), replication {}, \
+         λ = {:.0} req/s, {} requests...",
+        cfg.nodes, cfg.workers_per_node, cfg.routers, cfg.replication, cfg.lambda, cfg.requests
     );
     let report = run_drill(&net, &spec, cfg).map_err(|e| CliError::Run(e.to_string()))?;
     println!("{report}");
     if !report.passed() {
         return Err(CliError::Run(
-            "drill FAILED: admitted traffic was dropped, refused downstream, or \
-             answered with non-oracle logits (see report above)"
+            "drill FAILED: admitted traffic was dropped, refused downstream, answered with \
+             non-oracle logits, or the routers never re-converged (see report above)"
                 .into(),
         ));
     }
@@ -1451,10 +1290,18 @@ mod tests {
     }
 
     #[test]
-    fn drill_faults_rejects_out_of_range_probabilities() {
-        let err =
-            run(&argv(&["drill", "--faults", "--drop-p", "1.5"])).expect_err("probability above 1");
-        assert!(err.to_string().contains("drop-p"), "{err}");
+    fn drill_rejects_out_of_range_probabilities() {
+        // Fault flags are validated on every invocation, not only under
+        // `--faults`.
+        for argv in [
+            argv(&["drill", "--faults", "--drop-p", "1.5"]),
+            argv(&["drill", "--drop-p", "1.5"]),
+        ] {
+            let err = run(&argv).expect_err("probability above 1");
+            assert!(err.to_string().contains("drop_p"), "{err}");
+        }
+        let err = run(&argv(&["drill", "--routers", "0"])).expect_err("no router at all");
+        assert!(err.to_string().contains("routers"), "{err}");
     }
 
     #[test]

@@ -1,16 +1,18 @@
-//! The dynamic cluster harness: N announcing serve nodes behind R
+//! The cluster harness: N announcing serve nodes behind R
 //! gossip-replicated routers.
 //!
-//! Where [`LocalCluster`](crate::LocalCluster) wires a *static* node list
-//! into one in-process router, this harness exercises the full dynamic
-//! membership story: every node runs a background
-//! [`Announcer`](fluid_serve::Announcer) that Joins and heartbeats every
-//! router, every router runs a TCP front-end ([`route_tcp`]) plus a
-//! gossip thread ([`spawn_gossip`]), and nothing is wired by hand — a
-//! router learns the cluster from announcements and from its peers, and
-//! clients learn to survive a router by retrying across the router list.
-//! The membership drill ([`run_membership_drill`](crate::run_membership_drill))
-//! runs against exactly this harness.
+//! Every node runs a background [`Announcer`](fluid_serve::Announcer)
+//! that Joins and heartbeats every router, every router runs a TCP
+//! front-end ([`route_tcp`]) plus — when it has peers — a gossip thread
+//! ([`spawn_gossip`]), and nothing is wired by hand: a router learns the
+//! cluster from announcements and from its peers, and clients learn to
+//! survive a router by retrying across the router list. A "static"
+//! cluster is this harness with `routers: 1`: the same nodes, announced
+//! at boot, with no gossip thread. The harness also owns the
+//! cluster-level orchestration a single node cannot express — restart on
+//! a fresh port ([`DynamicCluster::restart_node`]) and the node-by-node
+//! rolling hot swap ([`DynamicCluster::rolling_swap`]) — and is what the
+//! drill ([`run_drill`](crate::run_drill)) runs against.
 
 use crate::gossip::{spawn_gossip, GossipConfig};
 use crate::node::ServeNode;
@@ -24,8 +26,8 @@ use std::time::{Duration, Instant};
 
 /// One router process-in-miniature: the [`Router`] state, its TCP
 /// front-end thread, and (optionally) its gossip thread, with a kill
-/// switch that takes all of it down at once — the unit the membership
-/// drill kills to prove router loss is invisible.
+/// switch that takes all of it down at once — the unit the drill kills
+/// to prove router loss is invisible.
 pub struct RouterNode {
     router: Router,
     addr: String,
@@ -131,8 +133,8 @@ pub struct DynamicClusterConfig {
     pub nodes: usize,
     /// Engine workers per node.
     pub workers_per_node: usize,
-    /// Routers to boot (`router-0` …), each with a TCP front-end and a
-    /// gossip thread over the others.
+    /// Routers to boot (`router-0` …), each with a TCP front-end and —
+    /// when there is more than one — a gossip thread over the others.
     pub routers: usize,
     /// Per-node serving configuration.
     pub serve: ServeConfig,
@@ -168,9 +170,8 @@ struct Member {
     announcer: Option<Announcer>,
 }
 
-/// N announcing serve nodes behind R gossip-replicated routers — the
-/// dynamic-membership counterpart of [`LocalCluster`](crate::LocalCluster).
-/// See the module docs for the wiring.
+/// N announcing serve nodes behind R gossip-replicated routers. See the
+/// module docs for the wiring.
 pub struct DynamicCluster {
     members: Vec<Member>,
     routers: Vec<RouterNode>,
@@ -222,7 +223,7 @@ impl DynamicCluster {
             .into_iter()
             .enumerate()
             .map(|(i, listener)| {
-                let router = Router::new_dynamic(RouterConfig {
+                let router = Router::new(RouterConfig {
                     id: format!("router-{i}"),
                     ..cfg.router.clone()
                 });
@@ -256,9 +257,18 @@ impl DynamicCluster {
         Ok(cluster)
     }
 
+    /// Starts the membership announcer for `node` at its current address.
+    fn announce(&self, node: &ServeNode) -> Result<Announcer, ServeError> {
+        let cfg = AnnounceConfig {
+            interval: self.cfg.announce_interval,
+            ..AnnounceConfig::new(node.id(), node.addr(), self.router_addrs.clone())
+        };
+        Ok(Announcer::spawn(cfg, node.handle()?))
+    }
+
     /// Boots one more serve node (`node-{next}`) with an announcer and
-    /// returns its id — the "scale up under traffic" move the membership
-    /// drill performs. The routers learn it from its Join/heartbeats; no
+    /// returns its id — the "scale up under traffic" move the drill
+    /// performs. The routers learn it from its Join/heartbeats; no
     /// router is touched directly.
     ///
     /// # Errors
@@ -273,16 +283,79 @@ impl DynamicCluster {
             self.cfg.workers_per_node,
             self.cfg.serve.clone(),
         )?;
-        let announce = AnnounceConfig {
-            interval: self.cfg.announce_interval,
-            ..AnnounceConfig::new(&id, node.addr(), self.router_addrs.clone())
-        };
-        let announcer = Announcer::spawn(announce, node.handle()?);
-        self.members.push(Member {
-            node,
-            announcer: Some(announcer),
-        });
+        let announcer = Some(self.announce(&node)?);
+        self.members.push(Member { node, announcer });
         Ok(id)
+    }
+
+    /// Restarts node `index` (crashing it first if it is still up) on a
+    /// fresh port with a fresh announcer. No router is touched: each one
+    /// re-addresses the node when its new Join arrives, or learns the new
+    /// address from a peer's gossip.
+    ///
+    /// # Errors
+    ///
+    /// Spawn failures pass through; the node stays down.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is out of range.
+    pub fn restart_node(&mut self, index: usize) -> Result<(), ServeError> {
+        self.crash_node(index);
+        self.members[index].node.restart()?;
+        let announcer = self.announce(&self.members[index].node)?;
+        self.members[index].announcer = Some(announcer);
+        Ok(())
+    }
+
+    /// Rolls a new model across the cluster one node at a time: cordon
+    /// the node on every live router, wait for their summed in-flight
+    /// count on it to reach zero, hot-swap the node in place (its own
+    /// zero-drop drain), uncordon on every router, next. With
+    /// `replication ≥ 2` every shard keeps a serving replica throughout,
+    /// so the cluster as a whole never refuses a shard. Nodes joined
+    /// afterwards boot the new model.
+    ///
+    /// Downed nodes are skipped (a later restart boots the model the
+    /// node last held). Returns the number of nodes swapped.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Elastic`] when a live router does not know the node
+    /// (the cluster has not converged), when the routers' in-flight count
+    /// does not drain within `drain_timeout`, or when the node's own hot
+    /// swap fails. The node is uncordoned on every router either way — a
+    /// failed swap must not leave the cluster smaller.
+    pub fn rolling_swap(
+        &mut self,
+        net: &ConvNet,
+        spec: &SubnetSpec,
+        drain_timeout: Duration,
+        retire_timeout: Duration,
+    ) -> Result<usize, ServeError> {
+        self.net = net.clone();
+        self.spec = spec.clone();
+        let routers: Vec<&Router> = self
+            .routers
+            .iter()
+            .filter(|r| r.is_up())
+            .map(RouterNode::router)
+            .collect();
+        let mut swapped = 0;
+        for member in self.members.iter_mut().filter(|m| m.node.is_up()) {
+            let id = member.node.id().to_string();
+            let mut result = routers
+                .iter()
+                .try_for_each(|r| r.cordon(&id))
+                .and_then(|()| drain(&routers, &id, drain_timeout))
+                .and_then(|()| member.node.hot_swap(net, spec, retire_timeout));
+            for r in &routers {
+                result = result.and(r.uncordon(&id));
+            }
+            result?;
+            swapped += 1;
+        }
+        Ok(swapped)
     }
 
     /// Gracefully removes node `index`: its announcer sends Leave to
@@ -356,28 +429,31 @@ impl DynamicCluster {
     }
 
     /// Blocks until every *living* router agrees with the harness about
-    /// the cluster: identical membership epochs, the living node ids
-    /// exactly, and every one of them healthy. Returns `false` on
-    /// timeout — callers assert on it, so a convergence failure names
-    /// itself instead of surfacing as downstream flakiness.
+    /// the cluster: identical membership epochs, exactly the living nodes
+    /// at their current addresses, and every one of them healthy. Returns
+    /// `false` on timeout — callers assert on it, so a convergence failure
+    /// names itself instead of surfacing as downstream flakiness.
     pub fn wait_converged(&self, timeout: Duration) -> bool {
-        let expected: Vec<String> = self
+        let mut expected: Vec<(&str, &str)> = self
             .members
             .iter()
             .filter(|m| m.node.is_up())
-            .map(|m| m.node.id().to_string())
+            .map(|m| (m.node.id(), m.node.addr()))
             .collect();
+        expected.sort_unstable();
         let deadline = Instant::now() + timeout;
         loop {
             let live: Vec<&RouterNode> = self.routers.iter().filter(|r| r.is_up()).collect();
             let settled = !live.is_empty()
                 && live.iter().all(|r| {
                     let m = r.router().metrics();
-                    let mut ids: Vec<String> = m.nodes.iter().map(|n| n.id.clone()).collect();
-                    ids.sort();
-                    let mut want = expected.clone();
-                    want.sort();
-                    ids == want && m.nodes.iter().all(|n| n.up)
+                    let mut seen: Vec<(&str, &str)> = m
+                        .nodes
+                        .iter()
+                        .map(|n| (n.id.as_str(), n.addr.as_str()))
+                        .collect();
+                    seen.sort_unstable();
+                    seen == expected && m.nodes.iter().all(|n| n.up)
                 })
                 && live
                     .windows(2)
@@ -390,6 +466,26 @@ impl DynamicCluster {
             }
             std::thread::sleep(Duration::from_millis(10));
         }
+    }
+}
+
+/// Waits until no router has a request in flight to node `id`.
+fn drain(routers: &[&Router], id: &str, timeout: Duration) -> Result<(), ServeError> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        let mut in_flight = 0;
+        for r in routers {
+            in_flight += r.node_in_flight(id)?;
+        }
+        if in_flight == 0 {
+            return Ok(());
+        }
+        if Instant::now() >= deadline {
+            return Err(ServeError::Elastic(format!(
+                "node {id} did not drain within {timeout:?}"
+            )));
+        }
+        std::thread::sleep(Duration::from_millis(5));
     }
 }
 
@@ -409,16 +505,20 @@ mod tests {
     use fluid_serve::TcpClient;
     use fluid_tensor::{Prng, Tensor};
 
+    const PATIENCE: Duration = Duration::from_secs(10);
+
     fn model() -> (ConvNet, SubnetSpec) {
         let model = FluidModel::new(Arch::tiny_28(), &mut Prng::new(11));
         let spec = model.spec("combined100").expect("spec").clone();
         (model.net().clone(), spec)
     }
 
-    fn fast_cfg() -> DynamicClusterConfig {
+    /// `nodes` announcing nodes behind `routers` routers on fast cadences;
+    /// `routers: 1` is the shape a statically wired cluster used to have.
+    fn fast_cfg(nodes: usize, routers: usize) -> DynamicClusterConfig {
         DynamicClusterConfig {
-            nodes: 2,
-            routers: 2,
+            nodes,
+            routers,
             router: RouterConfig {
                 connect_timeout: Duration::from_millis(300),
                 request_timeout: Duration::from_secs(5),
@@ -431,20 +531,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn nodes_announce_themselves_and_routers_converge() {
-        let (net, spec) = model();
-        let cluster = DynamicCluster::boot(&net, &spec, fast_cfg()).expect("boot");
+    /// Boots and waits for every router to learn every node.
+    fn booted(net: &ConvNet, spec: &SubnetSpec, cfg: DynamicClusterConfig) -> DynamicCluster {
+        let cluster = DynamicCluster::boot(net, spec, cfg).expect("boot");
         assert!(
-            cluster.wait_converged(Duration::from_secs(10)),
-            "routers never converged: {:?} vs {:?}",
-            cluster.router(0).router().metrics(),
-            cluster.router(1).router().metrics(),
+            cluster.wait_converged(PATIENCE),
+            "{cluster:?} never converged"
         );
-        // Both routers route — no static membership was ever given.
+        cluster
+    }
+
+    /// A keyed request through every router's front-end must match the
+    /// single-process oracle bit for bit.
+    fn assert_every_router_routes(cluster: &DynamicCluster, net: &ConvNet, spec: &SubnetSpec) {
         let x = Tensor::from_fn(&[1, 1, 28, 28], |i| (i % 7) as f32 / 7.0);
-        let mut oracle = net.clone();
-        let expected = oracle.forward_subnet(&x, &spec, false);
+        let expected = net.clone().forward_subnet(&x, spec, false);
         for r in 0..cluster.routers_len() {
             let mut client = TcpClient::connect(cluster.router(r).addr()).expect("connect");
             let got = client.infer_keyed(5, &x).expect("routed infer");
@@ -453,13 +554,41 @@ mod tests {
     }
 
     #[test]
+    fn nodes_announce_themselves_and_routers_converge() {
+        let (net, spec) = model();
+        let cluster = booted(&net, &spec, fast_cfg(2, 2));
+        // Both routers route — no membership was ever wired by hand.
+        assert_every_router_routes(&cluster, &net, &spec);
+    }
+
+    #[test]
+    fn a_restarted_node_is_re_addressed_on_every_router_from_the_wire() {
+        let (net, spec) = model();
+        let mut cluster = booted(&net, &spec, fast_cfg(2, 2));
+        let old_addr = cluster.node(1).addr().to_string();
+        cluster.restart_node(1).expect("restart");
+        let new_addr = cluster.node(1).addr().to_string();
+        assert_ne!(new_addr, old_addr, "restart must take a fresh port");
+        assert!(
+            cluster.wait_converged(PATIENCE),
+            "routers never re-addressed node-1: {cluster:?}"
+        );
+        for r in 0..cluster.routers_len() {
+            let m = cluster.router(r).router().metrics();
+            let n1 = m.nodes.iter().find(|n| n.id == "node-1").expect("node-1");
+            assert_eq!(n1.addr, new_addr, "router {r} kept the old address");
+            assert!(n1.up, "router {r} must see the restarted node up");
+        }
+        assert_every_router_routes(&cluster, &net, &spec);
+    }
+
+    #[test]
     fn graceful_leave_tombstones_the_node_on_every_router() {
         let (net, spec) = model();
-        let mut cluster = DynamicCluster::boot(&net, &spec, fast_cfg()).expect("boot");
-        assert!(cluster.wait_converged(Duration::from_secs(10)));
+        let mut cluster = booted(&net, &spec, fast_cfg(2, 2));
         cluster.leave_node(1);
         assert!(
-            cluster.wait_converged(Duration::from_secs(10)),
+            cluster.wait_converged(PATIENCE),
             "leave did not converge: {:?} vs {:?}",
             cluster.router(0).router().member_ids(),
             cluster.router(1).router().member_ids(),
@@ -472,14 +601,10 @@ mod tests {
     #[test]
     fn a_joining_node_is_learned_by_every_router() {
         let (net, spec) = model();
-        let mut cluster = DynamicCluster::boot(&net, &spec, fast_cfg()).expect("boot");
-        assert!(cluster.wait_converged(Duration::from_secs(10)));
+        let mut cluster = booted(&net, &spec, fast_cfg(2, 2));
         let id = cluster.join_node().expect("join");
         assert_eq!(id, "node-2");
-        assert!(
-            cluster.wait_converged(Duration::from_secs(10)),
-            "join did not converge"
-        );
+        assert!(cluster.wait_converged(PATIENCE), "join did not converge");
         for r in 0..cluster.routers_len() {
             assert!(
                 cluster
@@ -495,14 +620,117 @@ mod tests {
     #[test]
     fn a_killed_router_leaves_the_survivor_serving() {
         let (net, spec) = model();
-        let mut cluster = DynamicCluster::boot(&net, &spec, fast_cfg()).expect("boot");
-        assert!(cluster.wait_converged(Duration::from_secs(10)));
+        let mut cluster = booted(&net, &spec, fast_cfg(2, 2));
         cluster.kill_router(0);
         assert!(!cluster.router(0).is_up());
         // Convergence is now defined over the survivor alone.
-        assert!(cluster.wait_converged(Duration::from_secs(10)));
+        assert!(cluster.wait_converged(PATIENCE));
         let x = Tensor::from_fn(&[1, 1, 28, 28], |i| (i % 3) as f32 / 3.0);
         let mut client = TcpClient::connect(cluster.router(1).addr()).expect("survivor");
         client.infer_keyed(9, &x).expect("survivor still routes");
+    }
+
+    #[test]
+    fn cluster_routes_around_a_killed_node_and_back() {
+        let (net, spec) = model();
+        let mut cluster = booted(&net, &spec, fast_cfg(3, 1));
+        let router = cluster.router(0).router().clone();
+        let x = Tensor::from_fn(&[1, 1, 28, 28], |i| (i % 9) as f32 / 9.0);
+        let expected = net.clone().forward_subnet(&x, &spec, false);
+
+        // Every key routes correctly on the healthy cluster.
+        for key in 0..16u64 {
+            let got = router.infer(key, &x).expect("healthy infer");
+            assert!(got.allclose(&expected, 0.0), "key {key} diverged");
+        }
+        // Kill one node: with replication 2 every shard keeps a replica,
+        // so every key still gets bit-identical logits (retries allowed).
+        cluster.crash_node(1);
+        for key in 0..16u64 {
+            let got = router.infer(key, &x).expect("degraded infer");
+            assert!(
+                got.allclose(&expected, 0.0),
+                "key {key} diverged while degraded"
+            );
+        }
+        // Restart: the router re-addresses the node from its announcement
+        // and the node serves again.
+        cluster.restart_node(1).expect("restart");
+        assert!(cluster.wait_converged(PATIENCE));
+        for key in 0..16u64 {
+            router.infer(key, &x).expect("recovered infer");
+        }
+        let served: u64 = router.metrics().nodes.iter().map(|n| n.served).sum();
+        assert_eq!(served, 48, "every request must be served by some node");
+    }
+
+    #[test]
+    fn tenant_requests_ride_through_the_router_to_a_tenanted_node() {
+        use fluid_serve::{TenancyConfig, TenantClass, TenantPolicy};
+        let (net, spec) = model();
+        let mut cfg = fast_cfg(2, 1);
+        cfg.serve.tenancy = Some(TenancyConfig::new(vec![
+            TenantPolicy::new(7, "web", TenantClass::Interactive),
+            TenantPolicy::new(8, "etl", TenantClass::Batch),
+        ]));
+        let cluster = booted(&net, &spec, cfg);
+        let router = cluster.router(0).router();
+        let x = Tensor::from_fn(&[1, 1, 28, 28], |i| (i % 6) as f32 / 6.0);
+        let expected = net.clone().forward_subnet(&x, &spec, false);
+        for tenant in [7u64, 8] {
+            let got = router.infer_tenant(tenant, &x).expect("tenant infer");
+            assert!(got.allclose(&expected, 0.0), "tenant {tenant} diverged");
+        }
+        // A tenant id missing from every node's table is an explicit
+        // end-to-end reject, not a timeout or a silent default.
+        let err = router.infer_tenant(99, &x).expect_err("unknown tenant");
+        match err {
+            ServeError::Rejected(reason) => assert!(reason.contains("99"), "{reason}"),
+            other => panic!("expected Rejected, got {other}"),
+        }
+    }
+
+    #[test]
+    fn rolling_swap_changes_the_served_model_with_zero_refusals() {
+        let (net, spec) = model();
+        let mut cluster = booted(&net, &spec, fast_cfg(3, 2));
+        let none_cordoned = |cluster: &DynamicCluster| {
+            (0..cluster.routers_len()).all(|r| {
+                let m = cluster.router(r).router().metrics();
+                m.nodes.len() == 3 && m.nodes.iter().all(|n| !n.cordoned)
+            })
+        };
+        let x = Tensor::from_fn(&[1, 1, 28, 28], |i| (i % 4) as f32 / 4.0);
+        let replacement = FluidModel::new(Arch::tiny_28(), &mut Prng::new(77));
+        let new_spec = replacement.spec("combined100").expect("spec").clone();
+        let expected = replacement
+            .net()
+            .clone()
+            .forward_subnet(&x, &new_spec, false);
+
+        let swapped = cluster
+            .rolling_swap(replacement.net(), &new_spec, PATIENCE, PATIENCE)
+            .expect("rolling swap");
+        assert_eq!(swapped, 3);
+        for r in 0..cluster.routers_len() {
+            for key in 0..12u64 {
+                let got = cluster.router(r).router().infer(key, &x).expect("infer");
+                assert!(
+                    got.allclose(&expected, 0.0),
+                    "key {key} not on the new model via router {r}"
+                );
+            }
+        }
+        assert!(none_cordoned(&cluster), "swap must uncordon everywhere");
+
+        // A request to node-0 that never finishes, seen by router-1 only:
+        // the drain sums over routers, so it cannot complete — and the
+        // failed swap must still uncordon the node on every router.
+        cluster.router(1).router().pin_in_flight("node-0");
+        let err = cluster
+            .rolling_swap(&net, &spec, Duration::from_millis(100), PATIENCE)
+            .expect_err("the pinned request cannot drain");
+        assert!(err.to_string().contains("did not drain"), "{err}");
+        assert!(none_cordoned(&cluster), "failure must uncordon everywhere");
     }
 }

@@ -29,28 +29,30 @@
 //! * **Cluster-wide admission** ([`RouterConfig::admit_per_node`]): the
 //!   router sheds with an explicit verdict *before* node queues overflow,
 //!   scaled to the live node count.
-//! * **Rolling swap** ([`LocalCluster::rolling_swap`]): cordon → drain →
-//!   in-place [`hot_swap`](fluid_serve::ElasticHandle::hot_swap) →
-//!   uncordon, one node at a time; with replication ≥ 2 every shard keeps
-//!   a serving replica throughout.
-//! * **Chaos drill** ([`run_drill`]): Poisson load against a live local
-//!   cluster while nodes are killed, restarted, and rolled — every answer
-//!   checked bit-identically against a single-node oracle.
-//! * **Dynamic membership** ([`Router::new_dynamic`]): nodes announce
-//!   themselves over the wire (`Join`/`Leave`/`NodeHeartbeat`); every
-//!   change bumps an epoch and rebuilds the shard map, heartbeats double
-//!   as implicit re-joins, and leaves are tombstoned so stale gossip
-//!   cannot resurrect a departed member.
+//! * **Dynamic membership** ([`Router::join`]): a router starts empty and
+//!   nodes announce themselves over the wire (`Join`/`Leave`/
+//!   `NodeHeartbeat`); every change bumps an epoch and rebuilds the shard
+//!   map, heartbeats double as implicit re-joins (a restarted node is
+//!   re-addressed by its next announcement), and leaves are tombstoned so
+//!   stale gossip cannot resurrect a departed member.
 //! * **Replicated routers** ([`spawn_gossip`], [`DynamicCluster`]): N
 //!   routers converge on membership, health verdicts, and per-shard load
 //!   by push-pull anti-entropy gossip — no primary, any router serves any
 //!   request, and a killed router is invisible to clients retrying across
-//!   the router list.
-//! * **Membership drill** ([`run_membership_drill`]): Poisson load through
-//!   replicated routers while a router is killed, a node joins, and a
+//!   the router list. One router is the same cluster without the gossip
+//!   thread.
+//! * **Rolling swap** ([`DynamicCluster::rolling_swap`]): cordon on every
+//!   router → drain → in-place
+//!   [`hot_swap`](fluid_serve::ElasticHandle::hot_swap) → uncordon, one
+//!   node at a time; with replication ≥ 2 every shard keeps a serving
+//!   replica throughout.
+//! * **The drill** ([`run_drill`]): Poisson load through the router list
+//!   of a live local cluster while a router is killed, a node joins, a
 //!   seeded [`FaultPlan`](fluid_dist::FaultPlan) injects drops, duplicates
-//!   and a partition window under the transport — zero admitted drops,
-//!   completions oracle-checked, faults replayable from the seed.
+//!   and a partition window under the transport, nodes are killed and
+//!   restarted, and a hot swap is rolled — zero admitted drops, every
+//!   completion checked bit-identically against a single-process oracle,
+//!   faults replayable from the seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,12 +66,9 @@ mod ring;
 mod router;
 
 pub use cluster::{DynamicCluster, DynamicClusterConfig, RouterNode};
-pub use drill::{
-    run_drill, run_membership_drill, DrillConfig, DrillReport, MembershipDrillConfig,
-    MembershipDrillReport,
-};
+pub use drill::{run_drill, DrillConfig, DrillReport};
 pub use gossip::{spawn_gossip, GossipConfig};
 pub use health::HealthState;
-pub use node::{LocalCluster, ServeNode};
+pub use node::ServeNode;
 pub use ring::ShardMap;
 pub use router::{route_tcp, NodeStatus, Router, RouterConfig, RouterMetrics};

@@ -1,19 +1,17 @@
-//! In-process serve nodes and the local cluster harness.
+//! In-process serve nodes.
 //!
 //! A [`ServeNode`] is one complete serving instance — batching server,
 //! engine workers, TCP front-end — bound to its own loopback port, with a
 //! kill/restart lifecycle: exactly the unit the router shards over and
-//! the chaos drill kills. [`LocalCluster`] boots N of them behind one
-//! [`Router`] and adds the cluster-level orchestration the single-node
-//! layer cannot express: address re-registration on restart and the
-//! shard-by-shard rolling hot swap.
+//! the drill kills. [`DynamicCluster`](crate::DynamicCluster) boots N of
+//! them behind announcing membership and adds the cluster-level
+//! orchestration the single-node layer cannot express.
 //!
 //! A restarted node binds a *fresh* ephemeral port rather than re-binding
-//! its old one (the old socket may linger in `TIME_WAIT`); the router is
-//! repointed via [`Router::update_addr`], which is exactly what a real
-//! deployment's service discovery would do.
+//! its old one (the old socket may linger in `TIME_WAIT`); routers learn
+//! the new address from the node's next `Join`/`NodeHeartbeat`, which is
+//! exactly what a real deployment's service discovery would do.
 
-use crate::router::{Router, RouterConfig};
 use fluid_models::{ConvNet, SubnetSpec};
 use fluid_serve::{
     serve_tcp, Backend, ElasticHandle, EngineBackend, ServeConfig, ServeError, Server,
@@ -21,7 +19,7 @@ use fluid_serve::{
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The live half of a [`ServeNode`]; absent while the node is killed.
 struct Running {
@@ -215,170 +213,6 @@ impl std::fmt::Debug for ServeNode {
     }
 }
 
-/// N in-process [`ServeNode`]s behind one [`Router`]: the harness the
-/// chaos drill and the cluster tests run against, and the reference shape
-/// for wiring real nodes to a router.
-pub struct LocalCluster {
-    nodes: Vec<ServeNode>,
-    router: Router,
-}
-
-impl LocalCluster {
-    /// Boots `n` nodes (`node-0` … `node-{n-1}`, `workers_per_node`
-    /// engine workers each) and a router over them.
-    ///
-    /// # Errors
-    ///
-    /// Any node spawn failure aborts the boot (already-started nodes are
-    /// dropped, which kills them).
-    ///
-    /// # Panics
-    ///
-    /// If `n` is zero (the router refuses an empty membership).
-    pub fn boot(
-        net: &ConvNet,
-        spec: &SubnetSpec,
-        n: usize,
-        workers_per_node: usize,
-        serve_cfg: ServeConfig,
-        router_cfg: RouterConfig,
-    ) -> Result<LocalCluster, ServeError> {
-        let nodes = (0..n)
-            .map(|i| {
-                ServeNode::spawn(
-                    &format!("node-{i}"),
-                    net,
-                    spec,
-                    workers_per_node,
-                    serve_cfg.clone(),
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let membership = nodes
-            .iter()
-            .map(|node| (node.id().to_string(), node.addr().to_string()))
-            .collect();
-        let router = Router::new(router_cfg, membership);
-        Ok(LocalCluster { nodes, router })
-    }
-
-    /// The shared router (cheap clone; see [`Router`]).
-    pub fn router(&self) -> &Router {
-        &self.router
-    }
-
-    /// Number of nodes in the membership (up or down).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the cluster has no nodes (never true after a successful
-    /// [`boot`](LocalCluster::boot)).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// The node at `index`.
-    ///
-    /// # Panics
-    ///
-    /// If `index` is out of range.
-    pub fn node(&self, index: usize) -> &ServeNode {
-        &self.nodes[index]
-    }
-
-    /// Abruptly kills node `index` (the router finds out the hard way, on
-    /// the next request that dials it).
-    ///
-    /// # Panics
-    ///
-    /// If `index` is out of range.
-    pub fn kill_node(&mut self, index: usize) {
-        self.nodes[index].kill();
-    }
-
-    /// Restarts node `index` on a fresh port and repoints the router at
-    /// it (immediately due for a probe — no backoff wait).
-    ///
-    /// # Errors
-    ///
-    /// Spawn failures pass through; the router keeps its old address on
-    /// failure.
-    ///
-    /// # Panics
-    ///
-    /// If `index` is out of range.
-    pub fn restart_node(&mut self, index: usize) -> Result<(), ServeError> {
-        self.nodes[index].restart()?;
-        self.router
-            .update_addr(&self.nodes[index].id, &self.nodes[index].addr)
-    }
-
-    /// Rolls a new model across the cluster one node at a time: cordon,
-    /// wait for the router's in-flight count on the node to reach zero,
-    /// hot-swap the node in place (its own zero-drop drain), uncordon,
-    /// next. With `replication ≥ 2` every shard keeps a serving replica
-    /// throughout, so the cluster as a whole never refuses a shard.
-    ///
-    /// Downed nodes are skipped (their next restart boots the new model
-    /// only if it was swapped into `net`/`spec` storage first — callers
-    /// restart, then swap). Returns the number of nodes swapped.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Elastic`] when a node's router-side in-flight count
-    /// does not drain within `drain_timeout`, or when the node's own hot
-    /// swap fails. The node is uncordoned either way — a failed swap must
-    /// not leave the cluster smaller.
-    pub fn rolling_swap(
-        &mut self,
-        net: &ConvNet,
-        spec: &SubnetSpec,
-        drain_timeout: Duration,
-        retire_timeout: Duration,
-    ) -> Result<usize, ServeError> {
-        let mut swapped = 0;
-        for i in 0..self.nodes.len() {
-            if !self.nodes[i].is_up() {
-                continue;
-            }
-            let id = self.nodes[i].id().to_string();
-            self.router.cordon(&id)?;
-            let drained = {
-                let deadline = Instant::now() + drain_timeout;
-                loop {
-                    if self.router.node_in_flight(&id)? == 0 {
-                        break true;
-                    }
-                    if Instant::now() >= deadline {
-                        break false;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            };
-            let result = if drained {
-                self.nodes[i].hot_swap(net, spec, retire_timeout)
-            } else {
-                Err(ServeError::Elastic(format!(
-                    "node {id} did not drain within {drain_timeout:?}"
-                )))
-            };
-            self.router.uncordon(&id)?;
-            result?;
-            swapped += 1;
-        }
-        Ok(swapped)
-    }
-}
-
-impl std::fmt::Debug for LocalCluster {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LocalCluster")
-            .field("nodes", &self.nodes)
-            .finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,15 +224,6 @@ mod tests {
         let model = FluidModel::new(Arch::tiny_28(), &mut Prng::new(11));
         let spec = model.spec("combined100").expect("spec").clone();
         (model.net().clone(), spec)
-    }
-
-    fn fast_router_cfg() -> RouterConfig {
-        RouterConfig {
-            connect_timeout: Duration::from_millis(300),
-            request_timeout: Duration::from_secs(5),
-            probe_backoff: Duration::from_millis(50),
-            ..RouterConfig::default()
-        }
     }
 
     #[test]
@@ -421,113 +246,6 @@ mod tests {
         assert!(
             before.allclose(&after, 0.0),
             "weights changed across restart"
-        );
-    }
-
-    #[test]
-    fn cluster_routes_around_a_killed_node_and_back() {
-        let (net, spec) = model();
-        let mut cluster =
-            LocalCluster::boot(&net, &spec, 3, 1, ServeConfig::default(), fast_router_cfg())
-                .expect("boot");
-        let x = Tensor::from_fn(&[1, 1, 28, 28], |i| (i % 9) as f32 / 9.0);
-        let mut oracle = net.clone();
-        let expected = oracle.forward_subnet(&x, &spec, false);
-
-        // Every key routes correctly on the healthy cluster.
-        for key in 0..16u64 {
-            let got = cluster.router().infer(key, &x).expect("healthy infer");
-            assert!(got.allclose(&expected, 0.0), "key {key} diverged");
-        }
-        // Kill one node: with replication 2 every shard keeps a replica,
-        // so every key still gets bit-identical logits (retries allowed).
-        cluster.kill_node(1);
-        for key in 0..16u64 {
-            let got = cluster.router().infer(key, &x).expect("degraded infer");
-            assert!(
-                got.allclose(&expected, 0.0),
-                "key {key} diverged while degraded"
-            );
-        }
-        // Restart: the router is repointed and the node serves again.
-        cluster.restart_node(1).expect("restart");
-        for key in 0..16u64 {
-            cluster.router().infer(key, &x).expect("recovered infer");
-        }
-        let served: u64 = cluster
-            .router()
-            .metrics()
-            .nodes
-            .iter()
-            .map(|n| n.served)
-            .sum();
-        assert_eq!(served, 48, "every request must be served by some node");
-    }
-
-    #[test]
-    fn tenant_requests_ride_through_the_router_to_a_tenanted_node() {
-        use fluid_serve::{ServeError, TenancyConfig, TenantClass, TenantPolicy};
-        let (net, spec) = model();
-        let mut cfg = ServeConfig::default();
-        cfg.tenancy = Some(TenancyConfig::new(vec![
-            TenantPolicy::new(7, "web", TenantClass::Interactive),
-            TenantPolicy::new(8, "etl", TenantClass::Batch),
-        ]));
-        let cluster = LocalCluster::boot(&net, &spec, 2, 1, cfg, fast_router_cfg()).expect("boot");
-        let x = Tensor::from_fn(&[1, 1, 28, 28], |i| (i % 6) as f32 / 6.0);
-        let mut oracle = net.clone();
-        let expected = oracle.forward_subnet(&x, &spec, false);
-        for tenant in [7u64, 8] {
-            let got = cluster
-                .router()
-                .infer_tenant(tenant, &x)
-                .expect("tenant infer");
-            assert!(got.allclose(&expected, 0.0), "tenant {tenant} diverged");
-        }
-        // A tenant id missing from every node's table is an explicit
-        // end-to-end reject, not a timeout or a silent default.
-        let err = cluster
-            .router()
-            .infer_tenant(99, &x)
-            .expect_err("unknown tenant");
-        match err {
-            ServeError::Rejected(reason) => assert!(reason.contains("99"), "{reason}"),
-            other => panic!("expected Rejected, got {other}"),
-        }
-    }
-
-    #[test]
-    fn rolling_swap_changes_the_served_model_with_zero_refusals() {
-        let (net, spec) = model();
-        let mut cluster =
-            LocalCluster::boot(&net, &spec, 3, 1, ServeConfig::default(), fast_router_cfg())
-                .expect("boot");
-        let x = Tensor::from_fn(&[1, 1, 28, 28], |i| (i % 4) as f32 / 4.0);
-        let replacement = FluidModel::new(Arch::tiny_28(), &mut Prng::new(77));
-        let new_spec = replacement.spec("combined100").expect("spec").clone();
-        let mut oracle = replacement.net().clone();
-        let expected = oracle.forward_subnet(&x, &new_spec, false);
-
-        let swapped = cluster
-            .rolling_swap(
-                replacement.net(),
-                &new_spec,
-                Duration::from_secs(5),
-                Duration::from_secs(5),
-            )
-            .expect("rolling swap");
-        assert_eq!(swapped, 3);
-        for key in 0..12u64 {
-            let got = cluster.router().infer(key, &x).expect("post-swap infer");
-            assert!(
-                got.allclose(&expected, 0.0),
-                "key {key} not on the new model"
-            );
-        }
-        let m = cluster.router().metrics();
-        assert!(
-            m.nodes.iter().all(|n| !n.cordoned),
-            "swap must uncordon every node"
         );
     }
 }

@@ -128,6 +128,13 @@ fn dial(cfg: &AnnounceConfig, addr: &str) -> Result<TcpTransport, ServeError> {
     TcpTransport::new(stream).map_err(|e| ServeError::Transport(e.to_string()))
 }
 
+/// Sends `msg` and waits for the router's reply. A send error, a receive
+/// error, and a reply that does not arrive within `patience` all count
+/// as "not acknowledged".
+fn acked(link: &mut TcpTransport, msg: &Message, patience: Duration) -> bool {
+    link.send(msg).is_ok() && matches!(link.recv_timeout(patience), Ok(Some(_)))
+}
+
 fn announce_loop(cfg: AnnounceConfig, handle: ServerHandle, stop: &std::sync::atomic::AtomicU8) {
     let mut links: Vec<Option<TcpTransport>> = cfg.routers.iter().map(|_| None).collect();
     let mut seq: u64 = 0;
@@ -162,31 +169,28 @@ fn announce_loop(cfg: AnnounceConfig, handle: ServerHandle, stop: &std::sync::at
                 if let Ok(mut t) = dial(&cfg, addr) {
                     // First contact on a fresh connection is an explicit
                     // Join; the ack is drained so it can't be mistaken
-                    // for a later heartbeat's reply.
-                    let join_ok = t
-                        .send(&Message::Join {
-                            node: cfg.node_id.clone(),
-                            addr: cfg.advertise.clone(),
-                        })
-                        .is_ok()
-                        && t.recv_timeout(cfg.connect_timeout).is_ok();
-                    if join_ok {
+                    // for a later heartbeat's reply. A router that
+                    // accepts but never acks is not a joined link.
+                    let join = Message::Join {
+                        node: cfg.node_id.clone(),
+                        addr: cfg.advertise.clone(),
+                    };
+                    if acked(&mut t, &join, cfg.connect_timeout) {
                         links[i] = Some(t);
                     }
                 }
             }
             if let Some(t) = links[i].as_mut() {
-                let ok = t
-                    .send(&Message::NodeHeartbeat {
-                        node: cfg.node_id.clone(),
-                        addr: cfg.advertise.clone(),
-                        seq,
-                        queue_depth: depth,
-                    })
-                    .is_ok()
-                    && t.recv_timeout(cfg.connect_timeout).is_ok();
-                if !ok {
-                    links[i] = None; // broken link: re-dial (and re-Join) next tick
+                let beat = Message::NodeHeartbeat {
+                    node: cfg.node_id.clone(),
+                    addr: cfg.advertise.clone(),
+                    seq,
+                    queue_depth: depth,
+                };
+                if !acked(t, &beat, cfg.connect_timeout) {
+                    // Broken or silent link: re-dial (and re-Join) next
+                    // tick, so a late ack can't answer a later heartbeat.
+                    links[i] = None;
                 }
             }
         }
@@ -197,5 +201,58 @@ fn announce_loop(cfg: AnnounceConfig, handle: ServerHandle, stop: &std::sync::at
             std::thread::sleep(step);
             slept += step;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::EngineBackend;
+    use crate::server::{ServeConfig, Server};
+    use fluid_models::{Arch, FluidModel};
+    use fluid_tensor::Prng;
+    use std::net::TcpListener;
+    use std::time::Instant;
+
+    #[test]
+    fn a_router_that_accepts_but_never_acks_is_re_dialed() {
+        // The "router": accepts every connection and holds it open in
+        // silence, so each Join's ack times out.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let addr = listener.local_addr().expect("addr").to_string();
+
+        let model = FluidModel::new(Arch::tiny_28(), &mut Prng::new(5));
+        let backend = Box::new(EngineBackend::new(
+            "m0",
+            model.net().clone(),
+            model.spec("combined100").expect("spec").clone(),
+        ));
+        let server = Server::start(ServeConfig::default(), vec![backend]).expect("start");
+        let cfg = AnnounceConfig {
+            interval: Duration::from_millis(20),
+            connect_timeout: Duration::from_millis(40),
+            ..AnnounceConfig::new("n0", "127.0.0.1:1", vec![addr])
+        };
+        let announcer = Announcer::spawn(cfg, server.handle());
+        // A silent link kept as "joined" would be dialed exactly once.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut held = Vec::new();
+        while held.len() < 2 {
+            match listener.accept() {
+                Ok((stream, _)) => held.push(stream),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    assert!(
+                        Instant::now() < deadline,
+                        "{} dial(s) in 5 s: the silent link was kept",
+                        held.len()
+                    );
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Err(e) => panic!("accept: {e}"),
+            }
+        }
+        announcer.abort();
+        drop(server.shutdown());
     }
 }

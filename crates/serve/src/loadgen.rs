@@ -12,8 +12,8 @@
 //!   that actually exercises backpressure and shedding. Two flavours:
 //!   [`run_open_loop`] submits tickets to an in-proc [`ServerHandle`];
 //!   [`run_open_loop_indexed`] drives any blocking submit closure from a
-//!   submitter pool — the driver the cluster chaos drill
-//!   (`fluid_router::run_drill`) runs against the sharding router.
+//!   submitter pool — the driver the cluster drill
+//!   (`fluid_router::run_drill`) pushes through the router list.
 
 use crate::error::ServeError;
 use crate::server::ServerHandle;

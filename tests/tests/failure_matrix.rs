@@ -473,6 +473,16 @@ mod router_rows {
             .expect("some key must prefer the first node")
     }
 
+    /// A router whose members are known at boot: start empty and `join`
+    /// each `(id, addr)`, exactly as an announcing node would.
+    fn router_over(cfg: RouterConfig, nodes: &[(&str, &str)]) -> Router {
+        let router = Router::new(cfg);
+        for (id, addr) in nodes {
+            router.join(id, addr);
+        }
+        router
+    }
+
     #[test]
     fn dead_node_at_connect_is_a_fast_clean_verdict() {
         // Client-level wording first: a connect-side failure names the
@@ -486,7 +496,7 @@ mod router_rows {
         assert!(msg.contains("connect"), "{msg}");
         assert!(!msg.contains("mid-request silence"), "{msg}");
 
-        let router = Router::new(fast_cfg(), vec![("corpse".into(), refused_addr())]);
+        let router = router_over(fast_cfg(), &[("corpse", &refused_addr())]);
         let t0 = Instant::now();
         let err = router.infer(1, &x()).expect_err("nothing listens there");
         assert!(matches!(err, ServeError::NoWorkers), "{err}");
@@ -523,7 +533,7 @@ mod router_rows {
 
         // The router turns the same silence into a fast NoWorkers verdict.
         let (addr, node) = fake_node(read_then_wedge);
-        let router = Router::new(fast_cfg(), vec![("flaky".into(), addr)]);
+        let router = router_over(fast_cfg(), &[("flaky", &addr)]);
         let t0 = Instant::now();
         let err = router
             .infer(2, &x())
@@ -561,7 +571,7 @@ mod router_rows {
                 }
             }
         });
-        let router = Router::new(fast_cfg(), vec![("grumpy".into(), addr)]);
+        let router = router_over(fast_cfg(), &[("grumpy", &addr)]);
         let err = router
             .infer(3, &x())
             .expect_err("the node refuses everything");
@@ -578,12 +588,9 @@ mod router_rows {
 
     #[test]
     fn all_replicas_down_is_an_immediate_refusal_not_a_hang() {
-        let router = Router::new(
+        let router = router_over(
             fast_cfg(),
-            vec![
-                ("corpse-a".into(), refused_addr()),
-                ("corpse-b".into(), refused_addr()),
-            ],
+            &[("corpse-a", &refused_addr()), ("corpse-b", &refused_addr())],
         );
         // First request pays the (bounded) connect attempts and marks both
         // replicas down...
@@ -611,7 +618,7 @@ mod router_rows {
         // tier's contract is that any router serves any request, so a
         // dead entry costs a reconnect, never a lost request.
         let (node_addr, stop, node) = serving_node(1.0);
-        let mk = || Router::new(fast_cfg(), vec![("spine".into(), node_addr.clone())]);
+        let mk = || router_over(fast_cfg(), &[("spine", &node_addr)]);
         let mut r0 = RouterNode::spawn(mk(), None).expect("router 0");
         let r1 = RouterNode::spawn(mk(), None).expect("router 1");
         let addrs = [r0.addr().to_string(), r1.addr().to_string()];
@@ -663,10 +670,7 @@ mod router_rows {
         cfg.probe_backoff = Duration::from_millis(50);
         let shards = cfg.shards;
         let replication = cfg.replication;
-        let router = Router::new(
-            cfg,
-            vec![("node-a".into(), addr_a), ("node-b".into(), addr_b)],
-        );
+        let router = router_over(cfg, &[("node-a", &addr_a), ("node-b", &addr_b)]);
         let ids = vec!["node-a".to_string(), "node-b".to_string()];
         let key = key_preferring_first(&ids, shards, replication);
 
@@ -748,7 +752,7 @@ mod router_rows {
         let mk = |id: &str| {
             let mut cfg = fast_cfg();
             cfg.id = id.into();
-            Router::new_dynamic(cfg)
+            Router::new(cfg)
         };
         let a = mk("router-a");
         let b = mk("router-b");
