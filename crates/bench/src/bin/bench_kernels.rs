@@ -4,9 +4,9 @@
 //! Five groups are measured:
 //!
 //! * `layer_ops` — the hot kernels (conv GEMM, backward GEMMs, `im2col`,
-//!   a full ranged-conv forward, the int8 `qgemm`), each against an
-//!   embedded copy of the pre-pool *seed reference* kernel where one
-//!   exists, and at 1 vs 4 pool threads.
+//!   a full ranged-conv forward, the fused inference stage, the int8
+//!   `qgemm`), each against an embedded copy of the pre-pool *seed
+//!   reference* kernel where one exists, and at 1 vs 4 pool threads.
 //! * `simd_microkernels` — every dispatchable GEMM microkernel variant
 //!   (scalar fallback, AVX2 4×8/4×16, int8) timed on identical packed
 //!   panels; dispatch is once-per-process, so this sweep is how a single
@@ -368,6 +368,31 @@ fn bench_layer_ops(warmup: usize, reps: usize) -> Vec<KernelRow> {
         rows.push(KernelRow {
             name: "ranged_conv2d_fwd_b8_w16_14x14",
             seed_ms: Some(seed),
+            t1_ms: t1,
+            t4_ms: t4,
+        });
+    }
+
+    // The fused inference stage (conv → bias → ReLU → 2×2 max-pool in one
+    // epilogue) at the paper's first-stage shape, half width: batch 16,
+    // 1 → 8 channels, 28×28. No seed twin: the seed ran three layers.
+    {
+        let mut rng = Prng::new(14);
+        let conv = RangedConv2d::new(16, 1, 3, 1, 1, &mut rng);
+        let x = Tensor::from_vec(random_vec(15, 16 * 28 * 28), &[16, 1, 28, 28]);
+        let (image, half) = (ChannelRange::prefix(1), ChannelRange::prefix(8));
+        let mut ws = Workspace::new();
+        let mut stage = || {
+            let out = black_box(conv.forward_stage_ws(&x, image, half, &mut ws));
+            ws.recycle(out);
+        };
+        pool::set_threads(1);
+        let t1 = time_ms(warmup, reps, &mut stage);
+        pool::set_threads(4);
+        let t4 = time_ms(warmup, reps, &mut stage);
+        rows.push(KernelRow {
+            name: "conv_stage_fwd_b16_w8_28x28",
+            seed_ms: None,
             t1_ms: t1,
             t4_ms: t4,
         });

@@ -85,19 +85,21 @@ impl ConvNet {
 
     /// Runs one branch, returning its **partial** logits (`[N, classes]`).
     ///
+    /// With `train` set, every layer runs on its own and caches what
+    /// [`backward_branch`](ConvNet::backward_branch) needs (the ReLU mask,
+    /// the pool's argmax table); without it this is
+    /// [`forward_branch_observed`](ConvNet::forward_branch_observed) with
+    /// nothing observing.
+    ///
     /// # Panics
     ///
     /// Panics if the branch's stage count disagrees with the architecture
     /// or `x` is not `[N, image_channels, side, side]`.
     pub fn forward_branch(&mut self, x: &Tensor, branch: &BranchSpec, train: bool) -> Tensor {
-        assert_eq!(
-            branch.channels.len(),
-            self.arch.conv_stages,
-            "branch {} has {} stages, arch has {}",
-            branch.name,
-            branch.channels.len(),
-            self.arch.conv_stages
-        );
+        if !train {
+            return self.forward_branch_observed(x, branch, &mut |_, _| {});
+        }
+        self.check_stages(branch);
         let Self {
             arch,
             convs,
@@ -111,26 +113,28 @@ impl ConvNet {
         for stage in 0..arch.conv_stages {
             let in_range = branch.in_range(stage, arch.image_channels);
             let out_range = branch.channels[stage];
-            let next = convs[stage].forward_ws(&h, in_range, out_range, train, ws);
+            let next = convs[stage].forward_ws(&h, in_range, out_range, true, ws);
             ws.recycle(std::mem::replace(&mut h, next));
-            let next = relus[stage].forward_ws(&h, train, ws);
+            let next = relus[stage].forward_ws(&h, true, ws);
             ws.recycle(std::mem::replace(&mut h, next));
-            let next = pools[stage].forward_ws(&h, train, ws);
+            let next = pools[stage].forward_ws(&h, true, ws);
             ws.recycle(std::mem::replace(&mut h, next));
         }
-        let flat = flatten.forward_ws(&h, train, ws);
+        let flat = flatten.forward_ws(&h, true, ws);
         ws.recycle(h);
-        let logits = fc.forward_ws(&flat, branch.fc_range(arch), branch.fc_bias, train, ws);
+        let logits = fc.forward_ws(&flat, branch.fc_range(arch), branch.fc_bias, true, ws);
         ws.recycle(flat);
         logits
     }
 
-    /// Runs one branch in inference mode like
-    /// [`forward_branch`](ConvNet::forward_branch), additionally invoking
-    /// `observe` with every quantization surface: `(stage, input)` for
-    /// each conv stage's input activations and `(conv_stages, input)` for
-    /// the flattened FC input. This is the calibration hook for the int8
-    /// path (see [`crate::calibrate`]).
+    /// Runs one branch in inference mode — the one inference
+    /// implementation. Each conv stage is a single fused pass
+    /// ([`RangedConv2d::forward_stage_ws`]: conv → bias → ReLU → the 2×2
+    /// max-pool [`ConvNet::new`] builds), equal element for element to the
+    /// layer chain of a training forward. `observe` is invoked with every
+    /// quantization surface: `(stage, input)` for each conv stage's input
+    /// activations and `(conv_stages, input)` for the flattened FC input —
+    /// the calibration hook for the int8 path (see [`crate::calibrate`]).
     ///
     /// # Panics
     ///
@@ -141,6 +145,35 @@ impl ConvNet {
         branch: &BranchSpec,
         observe: &mut dyn FnMut(usize, &Tensor),
     ) -> Tensor {
+        self.check_stages(branch);
+        let Self {
+            arch,
+            convs,
+            flatten,
+            fc,
+            ws,
+            ..
+        } = self;
+        let mut h = ws.tensor_copy(x);
+        for (stage, conv) in convs.iter().enumerate() {
+            observe(stage, &h);
+            let in_range = branch.in_range(stage, arch.image_channels);
+            let next = conv.forward_stage_ws(&h, in_range, branch.channels[stage], ws);
+            ws.recycle(std::mem::replace(&mut h, next));
+        }
+        // A copy, not a reshape in place: a caller that keeps the logits
+        // takes the arena's smallest buffer with them, and without this
+        // small one the arena re-allocates its largest class instead
+        // (ROADMAP item 5).
+        let flat = flatten.forward_ws(&h, false, ws);
+        ws.recycle(h);
+        observe(arch.conv_stages, &flat);
+        let logits = fc.forward_ws(&flat, branch.fc_range(arch), branch.fc_bias, false, ws);
+        ws.recycle(flat);
+        logits
+    }
+
+    fn check_stages(&self, branch: &BranchSpec) {
         assert_eq!(
             branch.channels.len(),
             self.arch.conv_stages,
@@ -149,33 +182,6 @@ impl ConvNet {
             branch.channels.len(),
             self.arch.conv_stages
         );
-        let Self {
-            arch,
-            convs,
-            relus,
-            pools,
-            flatten,
-            fc,
-            ws,
-        } = self;
-        let mut h = ws.tensor_copy(x);
-        for stage in 0..arch.conv_stages {
-            observe(stage, &h);
-            let in_range = branch.in_range(stage, arch.image_channels);
-            let out_range = branch.channels[stage];
-            let next = convs[stage].forward_ws(&h, in_range, out_range, false, ws);
-            ws.recycle(std::mem::replace(&mut h, next));
-            let next = relus[stage].forward_ws(&h, false, ws);
-            ws.recycle(std::mem::replace(&mut h, next));
-            let next = pools[stage].forward_ws(&h, false, ws);
-            ws.recycle(std::mem::replace(&mut h, next));
-        }
-        let flat = flatten.forward_ws(&h, false, ws);
-        ws.recycle(h);
-        observe(arch.conv_stages, &flat);
-        let logits = fc.forward_ws(&flat, branch.fc_range(arch), branch.fc_bias, false, ws);
-        ws.recycle(flat);
-        logits
     }
 
     /// Backpropagates one branch given `dL/d(partial logits)`.

@@ -26,7 +26,7 @@
 use crate::arch::Arch;
 use crate::network::ConvNet;
 use crate::spec::SubnetSpec;
-use fluid_nn::{Flatten, MaxPool2d, QuantConv2d, QuantLinear, Relu};
+use fluid_nn::{Flatten, QuantConv2d, QuantLinear};
 use fluid_tensor::quant::{max_abs, symmetric_scale};
 use fluid_tensor::{Tensor, Workspace};
 
@@ -126,8 +126,6 @@ pub struct QuantizedNet {
     subnet: String,
     arch: Arch,
     branches: Vec<QuantBranch>,
-    relu: Relu,
-    pool: MaxPool2d,
     flatten: Flatten,
     ws: Workspace,
 }
@@ -187,8 +185,6 @@ impl QuantizedNet {
             subnet: spec.name.clone(),
             arch,
             branches,
-            relu: Relu::new(),
-            pool: MaxPool2d::new(2, 2),
             flatten: Flatten::new(),
             ws,
         }
@@ -232,8 +228,6 @@ impl QuantizedNet {
     fn forward_branch(&mut self, x: &Tensor, bi: usize) -> Tensor {
         let Self {
             branches,
-            relu,
-            pool,
             flatten,
             ws,
             ..
@@ -241,11 +235,7 @@ impl QuantizedNet {
         let branch = &branches[bi];
         let mut h = ws.tensor_copy(x);
         for conv in &branch.convs {
-            let next = conv.forward_ws(&h, ws);
-            ws.recycle(std::mem::replace(&mut h, next));
-            let next = relu.forward_ws(&h, false, ws);
-            ws.recycle(std::mem::replace(&mut h, next));
-            let next = pool.forward_ws(&h, false, ws);
+            let next = conv.forward_stage_ws(&h, ws);
             ws.recycle(std::mem::replace(&mut h, next));
         }
         let flat = flatten.forward_ws(&h, false, ws);

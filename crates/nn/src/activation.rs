@@ -53,13 +53,14 @@ impl Relu {
         if train {
             self.push_mask(x);
         }
-        let mut out = ws.tensor_copy(x);
-        pool::parallel_rows_mut(out.data_mut(), 1, ELEM_GRAIN, |_, block| {
-            for v in block {
-                *v = v.max(0.0);
+        let src = x.data();
+        let mut out = ws.take_dirty(src.len()); // fully overwritten
+        pool::parallel_rows_mut(&mut out, 1, ELEM_GRAIN, |range, block| {
+            for (o, &v) in block.iter_mut().zip(&src[range]) {
+                *o = v.max(0.0);
             }
         });
-        out
+        Tensor::from_vec(out, x.dims())
     }
 
     /// Backpropagates using the cached mask.

@@ -10,8 +10,8 @@
 
 use crate::range::ChannelRange;
 use fluid_tensor::{
-    col2im_ws, conv_gemm_dw_ws, conv_gemm_fwd_ws, kaiming_normal, Conv2dGeometry, PatchMatrix,
-    Prng, Tensor, Workspace,
+    col2im_ws, conv_gemm_dw_ws, conv_gemm_fwd_ws, kaiming_normal, pool, Conv2dGeometry,
+    PatchMatrix, Prng, Tensor, Workspace,
 };
 // (im2col stays exported from fluid-tensor for direct use; the conv layer
 // itself no longer materialises the patch matrix.)
@@ -205,6 +205,58 @@ impl RangedConv2d {
         train: bool,
         ws: &mut Workspace,
     ) -> Tensor {
+        let (out_mat, geo, n) = self.gemm_ws(x, in_range, out_range, ws);
+        let bias = &self.bias.data()[out_range.lo..out_range.hi];
+        let out = cnp_to_nchw_bias(out_mat.data(), bias, n, geo.out_h(), geo.out_w(), ws);
+        ws.recycle(out_mat);
+        if train {
+            self.cache.push(ConvCache {
+                input: ws.tensor_copy(x),
+                in_range,
+                out_range,
+                geo,
+                batch: n,
+            });
+        }
+        out
+    }
+
+    /// One inference stage in one pass: this convolution, its bias, ReLU
+    /// and a 2×2 / stride-2 max-pool, returning `[N, out_w, OH/2, OW/2]`.
+    /// Equal, element for element, to `forward_ws(.., false)` →
+    /// [`Relu`](crate::Relu) → [`MaxPool2d::new(2, 2)`](crate::MaxPool2d),
+    /// the sign of an exact zero aside: adding the bias and ReLU are
+    /// monotone, so they commute with the window max. It caches nothing,
+    /// so there is no matching backward.
+    ///
+    /// # Panics
+    ///
+    /// As for [`forward`](RangedConv2d::forward), and if the conv output
+    /// plane is smaller than the 2×2 window.
+    pub fn forward_stage_ws(
+        &self,
+        x: &Tensor,
+        in_range: ChannelRange,
+        out_range: ChannelRange,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        let (out_mat, geo, n) = self.gemm_ws(x, in_range, out_range, ws);
+        let bias = &self.bias.data()[out_range.lo..out_range.hi];
+        let out = stage_epilogue(out_mat.data(), bias, n, geo.out_h(), geo.out_w(), ws);
+        ws.recycle(out_mat);
+        out
+    }
+
+    /// Validates the window and runs the implicit GEMM — the patch matrix
+    /// is gathered from `x` while the engine packs, never materialised.
+    /// Returns the `[out_w, N·P]` product, the geometry and the batch size.
+    fn gemm_ws(
+        &self,
+        x: &Tensor,
+        in_range: ChannelRange,
+        out_range: ChannelRange,
+        ws: &mut Workspace,
+    ) -> (Tensor, Conv2dGeometry, usize) {
         assert!(
             in_range.fits(self.c_in_max),
             "in_range {in_range} exceeds {}",
@@ -225,41 +277,11 @@ impl RangedConv2d {
         );
         let (n, h, w) = (d[0], d[2], d[3]);
         let geo = Conv2dGeometry::new(h, w, self.kernel, self.stride, self.pad);
-        // Implicit GEMM: the patch matrix is gathered from `x` while the
-        // engine packs, never materialised.
         let patches = PatchMatrix::new(x.data(), n, in_range.width(), geo);
         let wmat = self.weight_window(in_range, out_range, ws);
-        let out_mat = conv_gemm_fwd_ws(&wmat, &patches, ws); // [out_w, N*P]
+        let out_mat = conv_gemm_fwd_ws(&wmat, &patches, ws);
         ws.recycle(wmat);
-        let (oh, ow) = (geo.out_h(), geo.out_w());
-        let mut out = cnp_to_nchw(&out_mat, n, out_range.width(), oh, ow, ws);
-        ws.recycle(out_mat);
-        // Bias for the active output channels, added in place (one output
-        // plane per unit of parallelism; same additions as the allocating
-        // `add_channel_bias`, so bit-identical).
-        let plane = oh * ow;
-        let out_w = out_range.width();
-        let bias = &self.bias.data()[out_range.lo..out_range.hi];
-        if plane > 0 {
-            fluid_tensor::pool::parallel_rows_mut(out.data_mut(), plane, 8, |planes, block| {
-                for (bi, p) in planes.enumerate() {
-                    let b = bias[p % out_w];
-                    for v in &mut block[bi * plane..(bi + 1) * plane] {
-                        *v += b;
-                    }
-                }
-            });
-        }
-        if train {
-            self.cache.push(ConvCache {
-                input: ws.tensor_copy(x),
-                in_range,
-                out_range,
-                geo,
-                batch: n,
-            });
-        }
-        out
+        (out_mat, geo, n)
     }
 
     /// Backpropagates through the last `forward(.., train = true)` call.
@@ -378,25 +400,88 @@ impl RangedConv2d {
     }
 }
 
-/// Reorders a `[C, N·P]` matrix into `[N, C, OH, OW]` (workspace-backed).
-pub(crate) fn cnp_to_nchw(
-    m: &Tensor,
+/// Planes per pool task in the two conv epilogues below.
+const PLANE_GRAIN: usize = 8;
+
+/// Reorders a conv GEMM's `[C, N·P]` output into `[N, C, OH, OW]`, adding
+/// `bias[c]` on the way (`C = bias.len()`). Each output plane is written by
+/// one task, so the result is the same at any thread count.
+pub(crate) fn cnp_to_nchw_bias(
+    m: &[f32],
+    bias: &[f32],
     n: usize,
-    c: usize,
     oh: usize,
     ow: usize,
     ws: &mut Workspace,
 ) -> Tensor {
-    let p = oh * ow;
-    let mut out = ws.tensor_zeroed(&[n, c, oh, ow]);
-    for ci in 0..c {
-        for ni in 0..n {
-            let src = ci * (n * p) + ni * p;
-            let dst = (ni * c + ci) * p;
-            out.data_mut()[dst..dst + p].copy_from_slice(&m.data()[src..src + p]);
-        }
+    let (c, p) = (bias.len(), oh * ow);
+    let mut out = ws.take_dirty(n * c * p); // fully overwritten
+    if p > 0 {
+        pool::parallel_rows_mut(&mut out, p, PLANE_GRAIN, |planes, block| {
+            for (dst, plane) in block.chunks_exact_mut(p).zip(planes) {
+                let (ni, ci) = (plane / c, plane % c);
+                let b = bias[ci];
+                for (d, &v) in dst.iter_mut().zip(&m[(ci * n + ni) * p..][..p]) {
+                    *d = v + b;
+                }
+            }
+        });
     }
-    out
+    Tensor::from_vec(out, &[n, c, oh, ow])
+}
+
+/// The inference epilogue of a conv stage: reads a conv GEMM's `[C, N·P]`
+/// output once and writes `relu(max_2×2(x) + bias[c])` as
+/// `[N, C, OH/2, OW/2]` once (odd extents truncate, as in `MaxPool2d`).
+///
+/// `x ↦ fl(x + b)` and `relu` are monotone, so they commute with the
+/// window max: the result equals bias → ReLU → max-pool run layer by layer
+/// (the sign of an exact zero aside) with a quarter of the bias adds and
+/// no intermediate tensor. The window is scanned in `MaxPool2d`'s order
+/// with its `>` test, and each output plane is written by one task.
+///
+/// # Panics
+///
+/// Panics if the plane is smaller than the window.
+pub(crate) fn stage_epilogue(
+    m: &[f32],
+    bias: &[f32],
+    n: usize,
+    oh: usize,
+    ow: usize,
+    ws: &mut Workspace,
+) -> Tensor {
+    let (c, p) = (bias.len(), oh * ow);
+    let (ph, pw) = (oh / 2, ow / 2);
+    assert!(
+        ph > 0 && pw > 0,
+        "conv output {oh}x{ow} smaller than pool window 2"
+    );
+    let mut out = ws.take_dirty(n * c * ph * pw); // fully overwritten
+    pool::parallel_rows_mut(&mut out, ph * pw, PLANE_GRAIN, |planes, block| {
+        for (dst, plane) in block.chunks_exact_mut(ph * pw).zip(planes) {
+            let (ni, ci) = (plane / c, plane % c);
+            let b = bias[ci];
+            let src = &m[(ci * n + ni) * p..][..p];
+            for (drow, rows) in dst.chunks_exact_mut(pw).zip(src.chunks_exact(2 * ow)) {
+                let (top, bottom) = (&rows[..2 * pw], &rows[ow..][..2 * pw]);
+                for ((d, t), u) in drow
+                    .iter_mut()
+                    .zip(top.chunks_exact(2))
+                    .zip(bottom.chunks_exact(2))
+                {
+                    let mut best = f32::NEG_INFINITY;
+                    for v in [t[0], t[1], u[0], u[1]] {
+                        if v > best {
+                            best = v;
+                        }
+                    }
+                    *d = (best + b).max(0.0);
+                }
+            }
+        }
+    });
+    Tensor::from_vec(out, &[n, c, ph, pw])
 }
 
 /// Reorders `[N, C, OH, OW]` into `[C, N·P]` (workspace-backed).

@@ -53,8 +53,9 @@ impl MaxPool2d {
         self.forward_ws(x, train, &mut Workspace::new())
     }
 
-    /// [`forward`](MaxPool2d::forward) with the argmax table drawn from
-    /// (and, after the matching backward, recycled into) `ws`.
+    /// [`forward`](MaxPool2d::forward) with the output drawn from `ws`. A
+    /// training forward also draws the argmax table from `ws` (recycled by
+    /// the matching backward); inference records no argmaxes at all.
     ///
     /// # Panics
     ///
@@ -69,43 +70,36 @@ impl MaxPool2d {
             "input {h}x{w} smaller than pool window {}",
             self.size
         );
-        let mut out = ws.tensor_zeroed(&[n, c, oh, ow]);
-        let mut argmax = ws.take_indices(n * c * oh * ow);
-        for ni in 0..n {
-            for ci in 0..c {
-                let in_base = (ni * c + ci) * h * w;
-                let out_base = (ni * c + ci) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
-                        for ky in 0..self.size {
-                            for kx in 0..self.size {
-                                let iy = oy * self.stride + ky;
-                                let ix = ox * self.stride + kx;
-                                let idx = in_base + iy * w + ix;
-                                let v = x.data()[idx];
-                                if v > best {
-                                    best = v;
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        out.data_mut()[out_base + oy * ow + ox] = best;
-                        argmax[out_base + oy * ow + ox] = best_idx;
-                    }
-                }
-            }
-        }
+        let mut out = ws.take_dirty(n * c * oh * ow); // fully overwritten
         if train {
+            let mut argmax = ws.take_indices(out.len());
+            self.pool_planes::<true>(x.data(), h, w, &mut out, &mut argmax);
             self.cache.push(PoolCache {
                 argmax,
                 in_dims: [n, c, h, w],
             });
         } else {
-            ws.recycle_indices(argmax);
+            self.pool_planes::<false>(x.data(), h, w, &mut out, &mut []);
         }
-        out
+        Tensor::from_vec(out, &[n, c, oh, ow])
+    }
+
+    /// Pools every `h`×`w` plane of `x` into `out`; with `ARGMAX`, also
+    /// records each winner's index into `x` (`argmax` is as long as `out`).
+    fn pool_planes<const ARGMAX: bool>(
+        &self,
+        x: &[f32],
+        h: usize,
+        w: usize,
+        out: &mut [f32],
+        argmax: &mut [usize],
+    ) {
+        match (self.size, self.stride) {
+            // The window every model here uses: as constants, so the
+            // window loops unroll.
+            (2, 2) => scan_windows::<ARGMAX>(2, 2, x, h, w, out, argmax),
+            (size, stride) => scan_windows::<ARGMAX>(size, stride, x, h, w, out, argmax),
+        }
     }
 
     /// Routes gradients to the argmax winners of the cached forward pass.
@@ -136,6 +130,43 @@ impl MaxPool2d {
         }
         ws.recycle_indices(cache.argmax);
         gin
+    }
+}
+
+/// The loop behind [`MaxPool2d::pool_planes`], inlined into each of its
+/// arms so a constant `size`/`stride` reaches the window loops.
+#[inline(always)]
+fn scan_windows<const ARGMAX: bool>(
+    size: usize,
+    stride: usize,
+    x: &[f32],
+    h: usize,
+    w: usize,
+    out: &mut [f32],
+    argmax: &mut [usize],
+) {
+    let (oh, ow) = ((h - size) / stride + 1, (w - size) / stride + 1);
+    let planes = x.chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow));
+    for (plane, (src, dst)) in planes.enumerate() {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_idx = 0;
+                for ky in 0..size {
+                    let row_at = (oy * stride + ky) * w + ox * stride;
+                    for (kx, &v) in src[row_at..row_at + size].iter().enumerate() {
+                        if v > best {
+                            best = v;
+                            best_idx = row_at + kx;
+                        }
+                    }
+                }
+                dst[oy * ow + ox] = best;
+                if ARGMAX {
+                    argmax[(plane * oh + oy) * ow + ox] = plane * h * w + best_idx;
+                }
+            }
+        }
     }
 }
 

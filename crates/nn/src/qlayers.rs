@@ -15,11 +15,11 @@
 //! bit-identical at any thread count and under any SIMD dispatch
 //! decision.
 
-use crate::conv::{cnp_to_nchw, RangedConv2d};
+use crate::conv::{cnp_to_nchw_bias, stage_epilogue, RangedConv2d};
 use crate::linear::RangedLinear;
 use crate::range::ChannelRange;
 use fluid_tensor::quant::{qgemm_ws, QuantSrcB, QuantizedMatrix};
-use fluid_tensor::{pool, Conv2dGeometry, PatchMatrix, Tensor, Workspace};
+use fluid_tensor::{Conv2dGeometry, PatchMatrix, Tensor, Workspace};
 
 /// A frozen int8 convolution over one `(in_range, out_range)` window of a
 /// [`RangedConv2d`], with a calibrated per-tensor input scale.
@@ -89,6 +89,31 @@ impl QuantConv2d {
     ///
     /// Panics if `x` is not `[N, in_w, H, W]`.
     pub fn forward_ws(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+        let (out_mat, geo, n) = self.gemm_ws(x, ws);
+        let out = cnp_to_nchw_bias(&out_mat, &self.bias, n, geo.out_h(), geo.out_w(), ws);
+        ws.recycle_vec(out_mat);
+        out
+    }
+
+    /// One int8 inference stage in one pass — the twin of
+    /// [`RangedConv2d::forward_stage_ws`]: this convolution, its f32 bias,
+    /// ReLU and a 2×2 / stride-2 max-pool, equal element for element to
+    /// [`forward_ws`](QuantConv2d::forward_ws) → `Relu` → `MaxPool2d`.
+    ///
+    /// # Panics
+    ///
+    /// As for [`forward_ws`](QuantConv2d::forward_ws), and if the conv
+    /// output plane is smaller than the 2×2 window.
+    pub fn forward_stage_ws(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+        let (out_mat, geo, n) = self.gemm_ws(x, ws);
+        let out = stage_epilogue(&out_mat, &self.bias, n, geo.out_h(), geo.out_w(), ws);
+        ws.recycle_vec(out_mat);
+        out
+    }
+
+    /// Validates `x` and runs the int8 implicit GEMM, returning the
+    /// dequantized `[out_w, N·P]` product, the geometry and the batch size.
+    fn gemm_ws(&self, x: &Tensor, ws: &mut Workspace) -> (Vec<f32>, Conv2dGeometry, usize) {
         let d = x.dims();
         assert_eq!(d.len(), 4, "conv input rank {}", d.len());
         assert_eq!(
@@ -100,8 +125,7 @@ impl QuantConv2d {
         let geo = Conv2dGeometry::new(h, w, self.kernel, self.stride, self.pad);
         let patches = PatchMatrix::new(x.data(), n, self.in_w, geo);
         let np = n * geo.out_positions();
-        let out_w = self.out_width();
-        let mut out_mat = ws.take_dirty(out_w * np); // fully overwritten
+        let mut out_mat = ws.take_dirty(self.out_width() * np); // fully overwritten
         qgemm_ws(
             &self.qweight,
             QuantSrcB::Patches(&patches),
@@ -110,24 +134,7 @@ impl QuantConv2d {
             &mut out_mat,
             ws,
         );
-        let out_mat = Tensor::from_vec(out_mat, &[out_w, np]);
-        let (oh, ow) = (geo.out_h(), geo.out_w());
-        let mut out = cnp_to_nchw(&out_mat, n, out_w, oh, ow, ws);
-        ws.recycle(out_mat);
-        // Same parallel per-plane bias add as the f32 forward.
-        let plane = oh * ow;
-        let bias = &self.bias[..];
-        if plane > 0 {
-            pool::parallel_rows_mut(out.data_mut(), plane, 8, |planes, block| {
-                for (bi, p) in planes.enumerate() {
-                    let b = bias[p % out_w];
-                    for v in &mut block[bi * plane..(bi + 1) * plane] {
-                        *v += b;
-                    }
-                }
-            });
-        }
-        out
+        (out_mat, geo, n)
     }
 }
 

@@ -32,6 +32,7 @@ mod comm;
 mod device;
 mod elastic;
 mod energy;
+mod histogram;
 mod queueing;
 mod scenario;
 mod tenants;
@@ -40,6 +41,7 @@ pub use comm::CommModel;
 pub use device::DeviceModel;
 pub use elastic::{simulate_elastic, ElasticPolicy, ElasticSimReport};
 pub use energy::{scenario_energy, standalone_energy, EnergyReport, PowerModel};
+pub use histogram::LatencyHistogram;
 pub use queueing::{
     percentile, simulate, simulate_cluster, ClusterScenario, ClusterSimReport, NodeOutage, Policy,
     RouterOutage, SampleWindow, SimReport,

@@ -25,7 +25,7 @@
 use crate::health::HealthState;
 use crate::ring::ShardMap;
 use fluid_dist::{FaultPlan, GossipNode, Message, TcpTransport, Transport};
-use fluid_perf::SampleWindow;
+use fluid_perf::LatencyHistogram;
 use fluid_serve::{ServeError, TcpClient};
 use fluid_tensor::Tensor;
 use std::collections::HashMap;
@@ -250,7 +250,7 @@ struct Inner {
     unroutable: AtomicU64,
     retries: AtomicU64,
     node_deaths: AtomicU64,
-    latencies: Mutex<SampleWindow>,
+    latencies: Mutex<LatencyHistogram>,
 }
 
 /// Liveness and load of one node, as seen in a [`RouterMetrics`] snapshot.
@@ -274,7 +274,7 @@ pub struct NodeStatus {
     pub deaths: u64,
 }
 
-/// A point-in-time snapshot of the router's counters and latency window.
+/// A point-in-time snapshot of the router's counters and latency histogram.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouterMetrics {
     /// The membership epoch this snapshot was taken at.
@@ -421,7 +421,7 @@ impl Router {
                 unroutable: AtomicU64::new(0),
                 retries: AtomicU64::new(0),
                 node_deaths: AtomicU64::new(0),
-                latencies: Mutex::new(SampleWindow::new()),
+                latencies: Mutex::new(LatencyHistogram::new()),
             }),
         }
     }
@@ -711,7 +711,7 @@ impl Router {
             match self.try_node(node, key, tenant, x) {
                 Ok(logits) => {
                     inner.completed.fetch_add(1, Ordering::Relaxed);
-                    lock(&inner.latencies).push(t0.elapsed().as_secs_f64() * 1e3);
+                    lock(&inner.latencies).record(t0.elapsed().as_secs_f64() * 1e3);
                     return Ok(logits);
                 }
                 Err(NodeFailure::Reject(reason)) => last_reject = Some(reason),
@@ -1043,11 +1043,11 @@ impl Router {
         Ok(self.living_entry(id)?.in_flight.load(Ordering::SeqCst))
     }
 
-    /// Snapshots counters, the latency window, and per-node status.
+    /// Snapshots counters, the latency histogram, and per-node status.
     pub fn metrics(&self) -> RouterMetrics {
         let inner = &self.inner;
         let m = read_lock(&inner.membership);
-        let mut window = lock(&inner.latencies);
+        let window = lock(&inner.latencies);
         RouterMetrics {
             epoch: m.epoch,
             admitted: inner.admitted.load(Ordering::Relaxed),

@@ -29,10 +29,10 @@
 //!   `queue_cap` requests; submissions past it are shed with an explicit
 //!   error (and [`Message::Reject`] on the wire), never queued into
 //!   unbounded latency.
-//! * **Metrics** ([`ServeMetrics`]): p50/p95/p99 latency (via
-//!   [`fluid_perf::SampleWindow`], the same percentile convention as the
-//!   queueing simulator), throughput, batch-size histogram, shed count,
-//!   per-worker liveness.
+//! * **Metrics** ([`ServeMetrics`]): p50/p95/p99 latency (from a
+//!   fixed-size [`fluid_perf::LatencyHistogram`], the queueing simulator's
+//!   percentile convention to within 2.5%), throughput, batch-size
+//!   histogram, shed count, per-worker liveness.
 //! * **Elasticity** ([`ElasticHandle`], [`Autoscaler`]): the worker pool
 //!   reconfigures at runtime — slots are added, drained, and retired under
 //!   live traffic, an autoscaling controller follows queue depth / shed
