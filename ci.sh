@@ -87,7 +87,7 @@ stage_doc() {
     # full test sweep.
     echo "==> doc-tests (compiled API examples)"
     cargo test -q --doc
-    echo "==> docs link check (every docs/*.md referenced from the guides exists)"
+    echo "==> docs link + bench orphan check (every docs/*.md and bench is cited)"
     local missing=0
     for doc in $(grep -hoE 'docs/[A-Za-z0-9_.-]+\.md' README.md docs/*.md | sort -u); do
         if [ ! -f "$doc" ]; then
@@ -99,6 +99,20 @@ stage_doc() {
     for doc in docs/*.md; do
         if ! grep -q "$doc" README.md; then
             echo "ORPHAN DOC: $doc is not referenced from README.md"
+            missing=1
+        fi
+    done
+    # Same rule for benches: a file cargo does not build, or that neither
+    # this script nor README.md names, is an unrun, uncited bench.
+    for bench in crates/bench/benches/*.rs; do
+        local name
+        name=$(basename "$bench" .rs)
+        if ! grep -q "^name = \"$name\"" crates/bench/Cargo.toml; then
+            echo "ORPHAN BENCH: $bench has no [[bench]] entry in crates/bench/Cargo.toml"
+            missing=1
+        fi
+        if ! grep -q -- "--bench $name\b" ci.sh README.md; then
+            echo "ORPHAN BENCH: $bench is named by neither ci.sh nor README.md"
             missing=1
         fi
     done

@@ -2,15 +2,15 @@
 //!
 //! The paper's Algorithm 1 "is applicable to any number" of sub-networks;
 //! this bench measures what an N-device fluid system buys. It trains an
-//! N-block model (generalised Algorithm 1), verifies every block learns,
+//! N-block model (`NestedSchedule::blocks`), verifies every block learns,
 //! and models the throughput of an N-device High-Throughput deployment.
 //!
 //! Run with `cargo bench -p fluid-bench --bench abl_scale_out`.
 
-use fluid_core::training::{train_multi_block, TrainConfig};
+use fluid_core::training::{train_nested, NestedSchedule, TrainConfig};
 use fluid_core::Experiment;
 use fluid_data::SynthDigits;
-use fluid_models::{branch_cost, Arch, MultiBlockFluid};
+use fluid_models::{branch_cost, Arch, FluidModel};
 use fluid_perf::DeviceModel;
 use fluid_tensor::Prng;
 
@@ -25,38 +25,27 @@ fn main() {
 
     for n in [1usize, 2, 4, 8] {
         let arch = Arch::paper();
-        let mut model = MultiBlockFluid::new(arch.clone(), n, &mut Prng::new(n as u64));
+        let mut model = FluidModel::blocks(arch.clone(), n, &mut Prng::new(n as u64));
         let cfg = TrainConfig {
             epochs_per_phase: 1,
             seed: n as u64,
             ..TrainConfig::default()
         };
         let t0 = std::time::Instant::now();
-        let _ = train_multi_block(&mut model, &train, &cfg, 2);
+        let _ = train_nested(&mut model, &train, &cfg, &NestedSchedule::blocks(n, 2));
         let train_time = t0.elapsed().as_secs_f32();
 
-        // Modelled HT throughput: every device serves its own block stream.
-        let mut ht_ips = 0.0;
-        for spec in model.specs().iter().filter(|s| s.is_standalone()) {
-            let macs = branch_cost(&arch, &spec.branches[0]).macs;
-            ht_ips += device.throughput(macs);
-        }
-
-        // Mean standalone-block accuracy and the full combined accuracy.
-        let block_names: Vec<String> = (0..n).map(|i| format!("block{i}")).collect();
-        let mut acc_sum = 0.0;
-        for name in &block_names {
-            let spec = model.spec(name).expect("spec").clone();
-            acc_sum += Experiment::evaluate_subnet(model.net_mut(), &spec, &test);
+        // Every device serves its own standalone block: modelled HT
+        // throughput is the sum of the block rates; accuracy their mean.
+        let (mut ht_ips, mut acc_sum) = (0.0, 0.0);
+        for spec in model.specs().to_vec().iter().filter(|s| s.is_standalone()) {
+            ht_ips += device.throughput(branch_cost(&arch, &spec.branches[0]).macs);
+            acc_sum += Experiment::evaluate_subnet(model.net_mut(), spec, &test);
         }
         let block_acc = acc_sum / n as f32;
-        let combined_name = if n == 1 {
-            "block0".to_owned()
-        } else {
-            format!("combined{n}")
-        };
-        let spec = model.spec(&combined_name).expect("spec").clone();
-        let combined_acc = Experiment::evaluate_subnet(model.net_mut(), &spec, &test);
+        // The registry ends with the widest unit: `combined{n}` (`block0` at n = 1).
+        let full = model.specs().last().expect("spec").clone();
+        let combined_acc = Experiment::evaluate_subnet(model.net_mut(), &full, &test);
 
         println!(
             "{n:>8} {ht_ips:>14.1} {:>13.1}% {:>15.1}% {train_time:>13.1}s",

@@ -1,7 +1,7 @@
 //! Validates the performance model's latency composition against the real
-//! runtime: the HA round-trip over a `SimTransport` with injected latency
-//! must cost ≈ (injected send latencies) more than the same round-trip over
-//! the raw in-process transport.
+//! runtime: the HA round-trip over a link whose every send is delayed (a
+//! `FaultPlan` with `delay_p: 1.0`) must cost ≈ (injected send latencies)
+//! more than the same round-trip with a zero delay.
 //!
 //! This checks the *additivity assumption* the Fig. 2 reproduction rests on
 //! (system latency = compute + communication), independently of how fast
@@ -10,13 +10,13 @@
 //! Run with `cargo bench -p fluid-bench --bench validate_runtime`.
 
 use fluid_dist::{
-    extract_branch_weights, InProcTransport, Master, MasterConfig, SimTransport, Worker,
+    extract_branch_weights, FaultPlan, FaultSpec, InProcTransport, Master, MasterConfig, Worker,
 };
 use fluid_models::{Arch, FluidModel};
 use fluid_tensor::{Prng, Tensor};
 use std::time::{Duration, Instant};
 
-fn measure_ha_latency(sim_latency: Option<Duration>, images: usize) -> Duration {
+fn measure_ha_latency(delay: Duration, images: usize) -> Duration {
     let arch = Arch::paper();
     let model = FluidModel::new(arch.clone(), &mut Prng::new(1));
     let (master_side, worker_side) = InProcTransport::pair();
@@ -30,35 +30,23 @@ fn measure_ha_latency(sim_latency: Option<Duration>, images: usize) -> Duration 
     let windows = extract_branch_weights(model.net(), &upper);
     let x = Tensor::from_fn(&[1, 1, 28, 28], |i| ((i % 19) as f32) / 19.0);
 
-    let elapsed = match sim_latency {
-        Some(lat) => {
-            let transport = SimTransport::new(master_side, lat);
-            let mut master = Master::new(transport, model.net().clone(), MasterConfig::default());
-            master.await_hello().expect("hello");
-            master.deploy_local(lower);
-            master.deploy_remote(upper, windows).expect("deploy");
-            let t0 = Instant::now();
-            for _ in 0..images {
-                let _ = master.infer_ha(&x).expect("HA");
-            }
-            let e = t0.elapsed();
-            master.shutdown_worker();
-            e
-        }
-        None => {
-            let mut master = Master::new(master_side, model.net().clone(), MasterConfig::default());
-            master.await_hello().expect("hello");
-            master.deploy_local(lower);
-            master.deploy_remote(upper, windows).expect("deploy");
-            let t0 = Instant::now();
-            for _ in 0..images {
-                let _ = master.infer_ha(&x).expect("HA");
-            }
-            let e = t0.elapsed();
-            master.shutdown_worker();
-            e
-        }
+    // Every send draws `Fate::Delay`: sleep `delay`, then deliver.
+    let spec = FaultSpec {
+        delay_p: 1.0,
+        delay,
+        ..FaultSpec::default()
     };
+    let transport = FaultPlan::new(spec, 0).link("master->w").wrap(master_side);
+    let mut master = Master::new(transport, model.net().clone(), MasterConfig::default());
+    master.await_hello().expect("hello");
+    master.deploy_local(lower);
+    master.deploy_remote(upper, windows).expect("deploy");
+    let t0 = Instant::now();
+    for _ in 0..images {
+        let _ = master.infer_ha(&x).expect("HA");
+    }
+    let elapsed = t0.elapsed();
+    master.shutdown_worker();
     handle.join().expect("worker");
     elapsed / images as u32
 }
@@ -66,7 +54,7 @@ fn measure_ha_latency(sim_latency: Option<Duration>, images: usize) -> Duration 
 fn main() {
     let images = 60;
     println!("Latency-composition validation ({images} HA inferences per point)\n");
-    let base = measure_ha_latency(None, images);
+    let base = measure_ha_latency(Duration::ZERO, images);
     println!(
         "{:>14} {:>14} {:>14} {:>12}",
         "injected/msg", "measured", "expected", "error"
@@ -74,9 +62,9 @@ fn main() {
     let mut worst = 0.0f64;
     for ms in [2u64, 5, 10] {
         let injected = Duration::from_millis(ms);
-        let measured = measure_ha_latency(Some(injected), images);
-        // HA sends one Infer per image through the SimTransport (the reply
-        // path is the worker's un-simulated side), so expected ≈ base + 1×lat.
+        let measured = measure_ha_latency(injected, images);
+        // HA sends one Infer per image through the delayed link (the reply
+        // path is the worker's undelayed side), so expected ≈ base + 1×lat.
         let expected = base + injected;
         let err = (measured.as_secs_f64() - expected.as_secs_f64()).abs() / expected.as_secs_f64();
         worst = worst.max(err);

@@ -15,7 +15,14 @@
 //!   ref \[3\]).
 //! * [`training::train_nested`] — **Algorithm 1**, nested incremental
 //!   training: iterate (base ladder → nested upper ladder) over shared
-//!   weights so every standalone *and* combined sub-network works.
+//!   weights so every standalone *and* combined sub-network works. The
+//!   ladders are data ([`training::NestedSchedule`]): the default is the
+//!   paper's two-block model, `NestedSchedule::blocks(n, iterations)` the
+//!   same loop over an `n`-block one.
+//!
+//! All three run the same epoch loop
+//! ([`training::train_subnet_epochs`]); they differ only in which
+//! sub-networks they visit, in what order, and what they freeze.
 //!
 //! ## Quickstart
 //!

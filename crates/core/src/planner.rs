@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn enumeration_counts_factorial() {
         let arch = Arch::paper();
-        let model = fluid_models::MultiBlockFluid::new(arch.clone(), 4, &mut Prng::new(2));
+        let model = FluidModel::blocks(arch.clone(), 4, &mut Prng::new(2));
         let subnet = model.spec("combined4").expect("spec").clone();
         let devices: Vec<DeviceModel> = (0..4)
             .map(|i| DeviceModel::jetson_master().scaled(1.0 + i as f64 * 0.1))

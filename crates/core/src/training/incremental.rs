@@ -1,9 +1,10 @@
 //! Incremental training of the Dynamic DNN ladder (paper reference \[3\]).
 
-use super::{freeze_prefix, plain::train_subnet_epochs, TrainConfig, TrainStats};
-use fluid_data::{DataLoader, Dataset};
+use super::plain::{train_phase, train_subnet_epochs};
+use super::{TrainConfig, TrainStats};
+use fluid_data::Dataset;
 use fluid_models::DynamicModel;
-use fluid_nn::{softmax_cross_entropy, Optimizer, Sgd};
+use fluid_nn::Sgd;
 
 /// Trains a [`DynamicModel`] incrementally: levels are trained narrowest
 /// first, and when training level `l` the weights of level `l−1` are frozen
@@ -25,46 +26,14 @@ pub fn train_incremental(
     let mut opt = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
 
     for (level, spec) in specs.iter().enumerate() {
-        let frozen = if level == 0 { 0 } else { widths[level - 1] };
-        if frozen == 0 {
-            // No freezing needed: reuse the shared primitive.
-            stats.phases.push(train_subnet_epochs(
-                model.net_mut(),
-                spec,
-                train,
-                cfg,
-                &mut opt,
-            ));
-            continue;
-        }
-        // Freezing variant of the epoch loop.
-        let mut loader = DataLoader::new(train, cfg.batch_size, true, cfg.seed ^ level as u64);
-        let mut epoch_losses = Vec::with_capacity(cfg.epochs_per_phase);
-        for _ in 0..cfg.epochs_per_phase {
-            loader.reset();
-            let mut total = 0.0f32;
-            let mut batches = 0usize;
-            while let Some((x, labels)) = loader.next_batch() {
-                let net = model.net_mut();
-                net.zero_grad();
-                let logits = net.forward_subnet(&x, spec, true);
-                let (loss, grad) = softmax_cross_entropy(&logits, &labels);
-                net.backward_subnet(&grad, spec);
-                freeze_prefix(net, frozen);
-                let mut params = net.param_set();
-                opt.step(&mut params);
-                total += loss;
-                batches += 1;
+        let net = model.net_mut();
+        stats.phases.push(match level {
+            // Level 0 has nothing below it to protect: the plain primitive.
+            0 => train_subnet_epochs(net, spec, train, cfg, &mut opt),
+            _ => {
+                let (seed, frozen) = (cfg.seed ^ level as u64, widths[level - 1]);
+                train_phase(net, spec, train, cfg, &mut opt, seed, frozen)
             }
-            epoch_losses.push(if batches > 0 {
-                total / batches as f32
-            } else {
-                f32::NAN
-            });
-        }
-        stats.phases.push(super::PhaseStats {
-            subnet: spec.name.clone(),
-            epoch_losses,
         });
     }
     stats
@@ -80,50 +49,29 @@ mod tests {
 
     #[test]
     fn incremental_preserves_narrow_subnet_outputs() {
-        // After the 25% level is trained, training wider levels must not
+        // Once the 25% level is trained, training a wider level must not
         // change the 25% function at all (freezing): the paper's runtime
         // relies on switching widths without re-validation.
         let (train, _) = SynthDigits::new(5).train_test(200, 50);
         let mut model = DynamicModel::new(Arch::tiny_28(), &mut Prng::new(2));
-        let cfg = TrainConfig::fast_test();
-
-        // Train level 0 only.
-        let spec0 = model.level(0).clone();
-        let mut opt = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
-        let _ = train_subnet_epochs(model.net_mut(), &spec0, &train, &cfg, &mut opt);
-        let (x, _) = train.gather(&[0, 1, 2, 3]);
-        let before = model.net_mut().forward_subnet(&x, &spec0, false);
-
-        // Train the full ladder (levels 1.. freeze their predecessors).
+        let mut cfg = TrainConfig::fast_test();
         let _ = train_incremental(&mut model, &train, &cfg);
-        // Level 0 was re-trained by the ladder pass (level 0 has no frozen
-        // prefix), so compare the *level-1-and-up* effect instead: train
-        // once more and verify level 1's training does not disturb level 0.
-        let spec0_after = model.level(0).clone();
-        let l0_ref = model.net_mut().forward_subnet(&x, &spec0_after, false);
-        let widths = model.net().arch().ladder.widths().to_vec();
-        let spec1 = model.level(1).clone();
-        let mut loader = DataLoader::new(&train, cfg.batch_size, true, 9);
-        for _ in 0..3 {
-            loader.reset();
-            while let Some((bx, labels)) = loader.next_batch() {
-                let net = model.net_mut();
-                net.zero_grad();
-                let logits = net.forward_subnet(&bx, &spec1, true);
-                let (_, grad) = softmax_cross_entropy(&logits, &labels);
-                net.backward_subnet(&grad, &spec1);
-                freeze_prefix(net, widths[0]);
-                let mut params = net.param_set();
-                opt.step(&mut params);
-            }
-        }
-        let l0_after = model.net_mut().forward_subnet(&x, &spec0_after, false);
+
+        let (x, _) = train.gather(&[0, 1, 2, 3]);
+        let (spec0, spec1) = (model.level(0).clone(), model.level(1).clone());
+        let l0_ref = model.net_mut().forward_subnet(&x, &spec0, false);
+        // Three more epochs of level 1 over the frozen level-0 prefix.
+        let frozen = model.net().arch().ladder.widths()[0];
+        let mut opt = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
+        cfg.epochs_per_phase = 3;
+        let net = model.net_mut();
+        let _ = train_phase(net, &spec1, &train, &cfg, &mut opt, 9, frozen);
+        let l0_after = net.forward_subnet(&x, &spec0, false);
         assert!(
             l0_ref.allclose(&l0_after, 1e-6),
             "frozen 25% subnet drifted by {}",
             l0_ref.max_abs_diff(&l0_after)
         );
-        let _ = before;
     }
 
     #[test]

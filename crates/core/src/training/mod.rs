@@ -1,13 +1,12 @@
 //! Training algorithms: plain, incremental (\[3\]) and nested incremental
-//! (Algorithm 1 of the paper).
+//! (Algorithm 1 of the paper, for any number of blocks). One epoch loop
+//! (in `plain`) serves all three.
 
 mod incremental;
-mod multi_block;
 mod nested;
 mod plain;
 
 pub use incremental::train_incremental;
-pub use multi_block::train_multi_block;
 pub use nested::{train_nested, NestedSchedule};
 pub use plain::{evaluate_subnet, train_plain, train_subnet_epochs};
 

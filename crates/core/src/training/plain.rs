@@ -1,6 +1,6 @@
 //! Plain SGD training of a single sub-network.
 
-use super::{PhaseStats, TrainConfig, TrainStats};
+use super::{freeze_prefix, PhaseStats, TrainConfig, TrainStats};
 use fluid_data::{DataLoader, Dataset};
 use fluid_models::{ConvNet, StaticModel, SubnetSpec};
 use fluid_nn::{accuracy, softmax_cross_entropy, Optimizer, Sgd};
@@ -18,8 +18,24 @@ pub fn train_subnet_epochs(
     cfg: &TrainConfig,
     opt: &mut Sgd,
 ) -> PhaseStats {
+    train_phase(net, spec, train, cfg, opt, cfg.seed ^ 0x5eed, 0)
+}
+
+/// The one epoch loop: trains `spec` for `cfg.epochs_per_phase` epochs over
+/// a loader shuffled by `loader_seed`, protecting the channel prefix
+/// `0..frozen_width` from every optimizer step (incremental training's
+/// freezing; `0` freezes nothing).
+pub(crate) fn train_phase(
+    net: &mut ConvNet,
+    spec: &SubnetSpec,
+    train: &Dataset,
+    cfg: &TrainConfig,
+    opt: &mut Sgd,
+    loader_seed: u64,
+    frozen_width: usize,
+) -> PhaseStats {
     let mut epoch_losses = Vec::with_capacity(cfg.epochs_per_phase);
-    let mut loader = DataLoader::new(train, cfg.batch_size, true, cfg.seed ^ 0x5eed);
+    let mut loader = DataLoader::new(train, cfg.batch_size, true, loader_seed);
     for _epoch in 0..cfg.epochs_per_phase {
         loader.reset();
         let mut total = 0.0f32;
@@ -29,6 +45,9 @@ pub fn train_subnet_epochs(
             let logits = net.forward_subnet(&x, spec, true);
             let (loss, grad) = softmax_cross_entropy(&logits, &labels);
             net.backward_subnet(&grad, spec);
+            if frozen_width > 0 {
+                freeze_prefix(net, frozen_width);
+            }
             let mut params = net.param_set();
             opt.step(&mut params);
             total += loss;

@@ -438,6 +438,25 @@ mod tests {
     }
 
     #[test]
+    fn certain_delay_is_a_fixed_latency_link() {
+        let delay = Duration::from_millis(10);
+        let spec = FaultSpec {
+            delay_p: 1.0,
+            delay,
+            ..FaultSpec::default()
+        };
+        let (a, mut b) = InProcTransport::pair();
+        let plan = FaultPlan::new(spec, 1);
+        let mut a = plan.link("slow").wrap(a);
+        let t0 = Instant::now();
+        a.send(&Message::Heartbeat { seq: 1 }).expect("send");
+        assert!(t0.elapsed() >= delay);
+        let got = b.recv_timeout(Duration::from_secs(1)).expect("recv");
+        assert_eq!(got, Some(Message::Heartbeat { seq: 1 }));
+        assert_eq!(plan.report().delayed, 1);
+    }
+
+    #[test]
     fn partition_window_severs_matching_links_then_heals() {
         let plan = FaultPlan::new(
             FaultSpec {

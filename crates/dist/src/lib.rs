@@ -12,18 +12,20 @@
 //!
 //! * **Wire + transports** ([`Message`], [`Transport`], [`read_frame`] /
 //!   [`write_frame`]): a hand-rolled length-prefixed codec over TCP
-//!   ([`TcpTransport`]), in-process channels ([`InProcTransport`], with a
-//!   [`FailureSwitch`] for failure injection), or a latency simulator
-//!   ([`SimTransport`]).
+//!   ([`TcpTransport`]) or in-process channels ([`InProcTransport`], with
+//!   a [`FailureSwitch`] for failure injection); a [`FaultPlan`] wraps
+//!   either with seeded latency, loss, duplication and partitions.
 //! * **Deployment** ([`extract_branch_weights`] / [`load_branch_weights`]):
 //!   ship exactly the weight windows a branch needs; extract → load is
 //!   bit-exact.
-//! * **Runtime** ([`Master`], [`MultiMaster`], [`Worker`],
-//!   [`WorkerEngine`]): High-Accuracy mode sums partial logits of one
+//! * **Runtime** ([`Master`], [`Worker`], [`WorkerEngine`]): one Master
+//!   coordinates 1…N Workers — the device count is the length of the
+//!   transport list it was built over, and the paper's two-device system
+//!   is [`Master::new`]. High-Accuracy mode sums partial logits of one
 //!   input across devices; High-Throughput mode serves independent streams
 //!   ([`Mode`]). Link loss degrades service instead of killing it — the
-//!   survivor keeps answering with its own branch, and
-//!   [`Master::reattach`] + re-deploy restores the full model.
+//!   survivors keep answering with their own branches, and
+//!   [`Master::reattach_worker`] + re-deploy restores the full model.
 //!
 //! See `docs/ARCHITECTURE.md` at the workspace root for the frame layout
 //! and the failure/recovery handshake.
@@ -69,7 +71,6 @@ mod fault;
 mod frame;
 mod master;
 mod meter;
-mod multi;
 mod spawn;
 mod transport;
 mod wire;
@@ -82,8 +83,7 @@ pub use fault::{FaultPlan, FaultReport, FaultSpec, FaultedTransport, FaultyLink,
 pub use frame::{read_frame, write_frame, MAX_FRAME_BYTES};
 pub use master::{Master, MasterConfig};
 pub use meter::ThroughputMeter;
-pub use multi::MultiMaster;
 pub use spawn::{spawn_ha_pair, SpawnedPair};
-pub use transport::{FailureSwitch, InProcTransport, SimTransport, TcpTransport, Transport};
+pub use transport::{FailureSwitch, InProcTransport, TcpTransport, Transport};
 pub use wire::{GossipNode, Message, Mode, NamedTensor};
 pub use worker::{Worker, WorkerExit};

@@ -1,5 +1,6 @@
-//! Message transports: the [`Transport`] trait and its in-process, TCP and
-//! latency-simulating implementations.
+//! Message transports: the [`Transport`] trait and its in-process and TCP
+//! implementations. (Latency and loss are injected by wrapping either in a
+//! [`FaultedTransport`](crate::FaultedTransport).)
 
 use crate::error::DistError;
 use crate::frame::{write_frame, MAX_FRAME_BYTES};
@@ -240,38 +241,6 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Wraps another transport and injects a fixed latency on every send —
-/// used to validate the performance model's compute + communication
-/// additivity against the live runtime.
-#[derive(Debug)]
-pub struct SimTransport<T: Transport> {
-    inner: T,
-    latency: Duration,
-}
-
-impl<T: Transport> SimTransport<T> {
-    /// Wraps `inner`, delaying each outgoing message by `latency`.
-    pub fn new(inner: T, latency: Duration) -> Self {
-        Self { inner, latency }
-    }
-
-    /// The injected per-message send latency.
-    pub fn latency(&self) -> Duration {
-        self.latency
-    }
-}
-
-impl<T: Transport> Transport for SimTransport<T> {
-    fn send(&mut self, msg: &Message) -> Result<(), DistError> {
-        std::thread::sleep(self.latency);
-        self.inner.send(msg)
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, DistError> {
-        self.inner.recv_timeout(timeout)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,18 +296,5 @@ mod tests {
         server.join().expect("server");
         // The server side is gone now; the next read reports link loss.
         assert!(client.recv_timeout(Duration::from_millis(200)).is_err());
-    }
-
-    #[test]
-    fn sim_transport_delays_but_delivers() {
-        let (a, mut b) = InProcTransport::pair();
-        let mut sim = SimTransport::new(a, Duration::from_millis(10));
-        let t0 = Instant::now();
-        sim.send(&Message::Heartbeat { seq: 1 }).expect("send");
-        assert!(t0.elapsed() >= Duration::from_millis(10));
-        assert!(b
-            .recv_timeout(Duration::from_secs(1))
-            .expect("recv")
-            .is_some());
     }
 }

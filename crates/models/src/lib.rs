@@ -12,7 +12,10 @@
 //!   into a *lower* and an *upper* block with **no cross-block conv
 //!   connections**. The upper sub-networks (`upper25`, `upper50`) run
 //!   standalone, and the combined 75%/100% models merge the blocks only at
-//!   the final FC layer via partial-logit summation.
+//!   the final FC layer via partial-logit summation. The same type holds
+//!   the `N`-block generalisation ([`FluidModel::blocks`]): how many
+//!   devices the channel space is split for is a constructor argument, not
+//!   a second model family.
 //!
 //! All three share [`ConvNet`] — the paper's 3-conv + 1-FC architecture —
 //! and are described by [`SubnetSpec`]s (sets of [`BranchSpec`] chains), so
@@ -38,7 +41,6 @@ mod checkpoint;
 mod dynamic_model;
 mod flops;
 mod fluid_model;
-mod multi_block;
 mod network;
 mod quantized;
 mod spec;
@@ -52,7 +54,6 @@ pub use checkpoint::{
 pub use dynamic_model::DynamicModel;
 pub use flops::{branch_cost, static_partition_comm_bytes, subnet_cost, CostReport};
 pub use fluid_model::{standard_specs, FluidModel, STANDALONE_SUBNETS};
-pub use multi_block::MultiBlockFluid;
 pub use network::ConvNet;
 pub use quantized::{
     calibrate, top1_agreement, BranchCalibration, Calibration, Precision, QuantizedNet,

@@ -3,24 +3,23 @@
 //!
 //! Run with `cargo run --release -p fluid-examples --bin scale_out`.
 
-use fluid_core::training::{train_multi_block, TrainConfig};
+use fluid_core::training::{train_nested, NestedSchedule, TrainConfig};
 use fluid_data::SynthDigits;
-use fluid_dist::{extract_branch_weights, MultiMaster, TcpTransport, Worker};
-use fluid_models::{Arch, MultiBlockFluid};
+use fluid_dist::{extract_branch_weights, Master, MasterConfig, Mode, TcpTransport, Worker};
+use fluid_models::{Arch, BranchSpec, FluidModel};
 use fluid_nn::accuracy;
 use fluid_tensor::{Prng, Tensor};
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
 
 fn main() {
     println!("=== Four-device scale-out (1 master + 3 TCP workers) ===\n");
 
     let arch = Arch::paper();
     let (train, test) = SynthDigits::new(4).train_test(1500, 400);
-    let mut model = MultiBlockFluid::new(arch.clone(), 4, &mut Prng::new(0));
-    println!("training a 4-block fluid model with the generalised Algorithm 1...");
+    let mut model = FluidModel::blocks(arch.clone(), 4, &mut Prng::new(0));
+    println!("training a 4-block fluid model with Algorithm 1...");
     let cfg = TrainConfig::default();
-    let _ = train_multi_block(&mut model, &train, &cfg, 2);
+    let _ = train_nested(&mut model, &train, &cfg, &NestedSchedule::blocks(4, 2));
 
     // Spin up three workers.
     let mut transports = Vec::new();
@@ -38,18 +37,21 @@ fn main() {
         transports.push(t);
     }
 
-    let mut mm = MultiMaster::new(transports, model.net().clone(), Duration::from_secs(3));
-    let names = mm.await_hellos().expect("worker hellos");
+    let mut master = Master::with_workers(transports, model.net().clone(), MasterConfig::default());
+    let names = master.await_hellos().expect("worker hellos");
     println!("connected workers: {names:?}\n");
 
-    // Deploy: master keeps block0 (bias owner); workers get blocks 1..3.
+    // Deploy: master keeps block0 (bias owner); worker i gets `branches[i]`.
+    let deploy = |master: &mut Master<TcpTransport>, branches: &[BranchSpec]| {
+        for (i, branch) in branches.iter().enumerate() {
+            let windows = extract_branch_weights(model.net(), branch);
+            let deployed = master.deploy_to(i, branch.clone(), windows);
+            deployed.expect("deploy block");
+        }
+    };
     let combined = model.spec("combined4").expect("spec").clone();
-    mm.deploy_local(combined.branches[0].clone());
-    for i in 0..3 {
-        let branch = combined.branches[i + 1].clone();
-        let windows = extract_branch_weights(model.net(), &branch);
-        mm.deploy_to(i, branch, windows).expect("deploy block");
-    }
+    master.deploy_local(combined.branches[0].clone());
+    deploy(&mut master, &combined.branches[1..]);
     println!("deployed blocks 1-3 to the workers\n");
 
     // HA across four devices: every device computes a partial; the master
@@ -58,7 +60,7 @@ fn main() {
     let mut correct = 0.0f32;
     for i in 0..n_eval {
         let (x, labels) = test.gather(&[i]);
-        let logits = mm.infer_ha(&x).expect("HA across 4 devices");
+        let logits = master.infer_ha(&x).expect("HA across 4 devices");
         correct += accuracy(&logits, &labels);
     }
     println!(
@@ -68,23 +70,18 @@ fn main() {
 
     // HT: four independent streams (blocks run standalone — redeploy with
     // their own bias).
-    for i in 0..3 {
-        let branch = model
-            .spec(&format!("block{}", i + 1))
-            .expect("spec")
-            .branches[0]
-            .clone();
-        let windows = extract_branch_weights(model.net(), &branch);
-        mm.deploy_to(i, branch, windows)
-            .expect("redeploy standalone");
-    }
+    let standalone = |i| model.spec(&format!("block{i}")).expect("spec").branches[0].clone();
+    deploy(&mut master, &[standalone(1), standalone(2), standalone(3)]);
+    master
+        .switch_mode(Mode::HighThroughput)
+        .expect("mode switch");
     let xs: Vec<Tensor> = (0..4).map(|k| test.gather(&[k]).0).collect();
-    let results = mm.infer_ht(&xs).expect("HT across 4 devices");
+    let results = master.infer_streams(&xs).expect("HT across 4 devices");
     let served = results.iter().filter(|r| r.is_some()).count();
     println!("HT: {served}/4 independent streams served in one round");
-    println!("alive workers: {}/3", mm.alive_workers());
+    println!("alive workers: {}/3", master.alive_workers());
 
-    mm.shutdown_all();
+    master.shutdown_worker();
     for h in handles {
         let _ = h.join();
     }

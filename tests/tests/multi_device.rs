@@ -1,24 +1,23 @@
-//! N-device scale-out: the generalised Algorithm 1 plus MultiMaster over
-//! real TCP.
+//! N-device scale-out: Algorithm 1 over a 4-block model plus one Master
+//! with three workers over real TCP.
 
-use fluid_core::training::{train_multi_block, TrainConfig};
+use fluid_core::training::{train_nested, NestedSchedule, TrainConfig};
 use fluid_core::Experiment;
 use fluid_data::SynthDigits;
-use fluid_dist::{extract_branch_weights, MultiMaster, TcpTransport, Worker};
-use fluid_models::{Arch, MultiBlockFluid};
+use fluid_dist::{extract_branch_weights, Master, MasterConfig, TcpTransport, Worker};
+use fluid_models::{Arch, FluidModel};
 use fluid_tensor::Prng;
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
 
-fn trained_four_block() -> (MultiBlockFluid, fluid_data::Dataset) {
+fn trained_four_block() -> (FluidModel, fluid_data::Dataset) {
     let (train, test) = SynthDigits::new(81).train_test(1000, 150);
-    let mut model = MultiBlockFluid::new(Arch::paper(), 4, &mut Prng::new(2));
+    let mut model = FluidModel::blocks(Arch::paper(), 4, &mut Prng::new(2));
     let cfg = TrainConfig {
         epochs_per_phase: 1,
         seed: 81,
         ..TrainConfig::default()
     };
-    let _ = train_multi_block(&mut model, &train, &cfg, 2);
+    let _ = train_nested(&mut model, &train, &cfg, &NestedSchedule::blocks(4, 2));
     (model, test)
 }
 
@@ -41,18 +40,18 @@ fn four_device_tcp_ha_matches_local_combined() {
         transports.push(TcpTransport::new(TcpStream::connect(addr).expect("connect")).expect("t"));
     }
 
-    let mut mm = MultiMaster::new(transports, model.net().clone(), Duration::from_secs(5));
-    mm.await_hellos().expect("hellos");
+    let mut master = Master::with_workers(transports, model.net().clone(), MasterConfig::default());
+    master.await_hellos().expect("hellos");
     let combined = model.spec("combined4").expect("spec").clone();
-    mm.deploy_local(combined.branches[0].clone());
+    master.deploy_local(combined.branches[0].clone());
     for i in 0..3 {
         let branch = combined.branches[i + 1].clone();
         let windows = extract_branch_weights(model.net(), &branch);
-        mm.deploy_to(i, branch, windows).expect("deploy");
+        master.deploy_to(i, branch, windows).expect("deploy");
     }
 
     let (x, _) = test.gather(&[0, 1]);
-    let distributed = mm.infer_ha(&x).expect("HA");
+    let distributed = master.infer_ha(&x).expect("HA");
     let mut reference = model.net().clone();
     let expected = reference.forward_subnet(&x, &combined, false);
     assert!(
@@ -60,7 +59,7 @@ fn four_device_tcp_ha_matches_local_combined() {
         "4-device TCP HA diverges by {}",
         distributed.max_abs_diff(&expected)
     );
-    mm.shutdown_all();
+    master.shutdown_worker();
     for h in handles {
         h.join().expect("worker");
     }
@@ -69,12 +68,10 @@ fn four_device_tcp_ha_matches_local_combined() {
 #[test]
 fn trained_blocks_classify_above_chance() {
     let (mut model, test) = trained_four_block();
-    for i in 0..4 {
-        let spec = model.spec(&format!("block{i}")).expect("spec").clone();
+    let names = ["block0", "block1", "block2", "block3", "combined4"];
+    for (name, floor) in names.into_iter().zip([0.2, 0.2, 0.2, 0.2, 0.5]) {
+        let spec = model.spec(name).expect("spec").clone();
         let acc = Experiment::evaluate_subnet(model.net_mut(), &spec, &test);
-        assert!(acc > 0.2, "block{i} accuracy {acc}");
+        assert!(acc > floor, "{name} accuracy {acc}");
     }
-    let spec = model.spec("combined4").expect("spec").clone();
-    let acc = Experiment::evaluate_subnet(model.net_mut(), &spec, &test);
-    assert!(acc > 0.5, "combined4 accuracy {acc}");
 }
