@@ -4,9 +4,10 @@
 //! Five groups are measured:
 //!
 //! * `layer_ops` — the hot kernels (conv GEMM, backward GEMMs, `im2col`,
-//!   a full ranged-conv forward, the fused inference stage, the int8
-//!   `qgemm`), each against an embedded copy of the pre-pool *seed
-//!   reference* kernel where one exists, and at 1 vs 4 pool threads.
+//!   a full ranged-conv forward, the fused inference stage, the in-place
+//!   conv forward, the int8 `qgemm`), each against an embedded copy of
+//!   the pre-pool *seed reference* kernel where one exists, and at 1 vs 4
+//!   pool threads.
 //! * `simd_microkernels` — every dispatchable GEMM microkernel variant
 //!   (scalar fallback, AVX2 4×8/4×16, int8) timed on identical packed
 //!   panels; dispatch is once-per-process, so this sweep is how a single
@@ -42,7 +43,9 @@ use fluid_models::{calibrate, top1_agreement, Arch, FluidModel, QuantizedNet};
 use fluid_nn::{softmax_cross_entropy_ws, ChannelRange, Optimizer, RangedConv2d, Sgd};
 use fluid_serve::{EngineBackend, ServeConfig, Server};
 use fluid_tensor::quant::{qgemm_ws, QuantSrcB, QuantizedMatrix};
-use fluid_tensor::{im2col, pool, simd, Conv2dGeometry, Prng, Tensor, Workspace, KC};
+use fluid_tensor::{
+    conv_gemm_fwd_ws, im2col, pool, simd, Conv2dGeometry, PatchMatrix, Prng, Tensor, Workspace, KC,
+};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -392,6 +395,40 @@ fn bench_layer_ops(warmup: usize, reps: usize) -> Vec<KernelRow> {
         let t4 = time_ms(warmup, reps, &mut stage);
         rows.push(KernelRow {
             name: "conv_stage_fwd_b16_w8_28x28",
+            seed_ms: None,
+            t1_ms: t1,
+            t4_ms: t4,
+        });
+    }
+
+    // The in-place conv forward GEMM (no B pack: the patch matrix is read
+    // from the zero-bordered image) over the paper's three stage shapes at
+    // full width, batch 16 — one row, the three products back to back.
+    {
+        let shapes = [(1usize, 28usize), (16, 14), (16, 7)];
+        let operands: Vec<(Tensor, Tensor, Conv2dGeometry)> = shapes
+            .iter()
+            .map(|&(c_in, side)| {
+                let w = Tensor::from_vec(random_vec(16, 16 * c_in * 9), &[16, c_in * 9]);
+                let x = random_vec(17, 16 * c_in * side * side);
+                let x = Tensor::from_vec(x, &[16, c_in, side, side]);
+                (w, x, Conv2dGeometry::new(side, side, 3, 1, 1))
+            })
+            .collect();
+        let mut ws = Workspace::new();
+        let mut fwd = || {
+            for (w, x, geo) in &operands {
+                let patches = PatchMatrix::new(x.data(), 16, x.dim(1), *geo);
+                let out = black_box(conv_gemm_fwd_ws(w, &patches, &mut ws));
+                ws.recycle(out);
+            }
+        };
+        pool::set_threads(1);
+        let t1 = time_ms(warmup, reps, &mut fwd);
+        pool::set_threads(4);
+        let t4 = time_ms(warmup, reps, &mut fwd);
+        rows.push(KernelRow {
+            name: "conv_gemm_fwd_in_place_b16_w16_28_14_7",
             seed_ms: None,
             t1_ms: t1,
             t4_ms: t4,

@@ -149,7 +149,6 @@ impl ConvNet {
         let Self {
             arch,
             convs,
-            flatten,
             fc,
             ws,
             ..
@@ -161,15 +160,12 @@ impl ConvNet {
             let next = conv.forward_stage_ws(&h, in_range, branch.channels[stage], ws);
             ws.recycle(std::mem::replace(&mut h, next));
         }
-        // A copy, not a reshape in place: a caller that keeps the logits
-        // takes the arena's smallest buffer with them, and without this
-        // small one the arena re-allocates its largest class instead
-        // (ROADMAP item 5).
-        let flat = flatten.forward_ws(&h, false, ws);
+        let d = h.dims();
+        let flat = [d[0], d[1] * d[2] * d[3]];
+        h.reshape_in_place(&flat);
+        observe(arch.conv_stages, &h);
+        let logits = fc.forward_ws(&h, branch.fc_range(arch), branch.fc_bias, false, ws);
         ws.recycle(h);
-        observe(arch.conv_stages, &flat);
-        let logits = fc.forward_ws(&flat, branch.fc_range(arch), branch.fc_bias, false, ws);
-        ws.recycle(flat);
         logits
     }
 

@@ -1,12 +1,13 @@
 //! Range-sliceable 2-D convolution with hand-written backprop.
 //!
 //! Forward and weight-gradient passes run as **implicit GEMM**: the
-//! `im2col` patch matrix is never materialised — the packed-panel GEMM
-//! engine gathers cache-sized blocks of it straight from the image while
-//! packing (see [`PatchMatrix`]). The remaining intermediates (weight
-//! windows, GEMM outputs, layout-reorder buffers) are drawn from a
-//! [`Workspace`] in the `_ws` entry points, so steady-state training and
-//! inference perform no heap allocation at all.
+//! `im2col` patch matrix is never materialised (see [`PatchMatrix`]). A
+//! stride-1 forward reads it in place from a zero-bordered copy of the
+//! input; the weight gradient (and any other stride) gathers cache-sized
+//! blocks of it straight from the image while the GEMM engine packs. The
+//! remaining intermediates (weight windows, GEMM outputs, layout-reorder
+//! buffers) are drawn from a [`Workspace`] in the `_ws` entry points, so
+//! steady-state training and inference perform no heap allocation at all.
 
 use crate::range::ChannelRange;
 use fluid_tensor::{
@@ -248,8 +249,9 @@ impl RangedConv2d {
     }
 
     /// Validates the window and runs the implicit GEMM — the patch matrix
-    /// is gathered from `x` while the engine packs, never materialised.
-    /// Returns the `[out_w, N·P]` product, the geometry and the batch size.
+    /// is read from `x`'s zero-bordered copy (stride 1) or gathered while
+    /// the engine packs, never materialised. Returns the `[out_w, N·P]`
+    /// product, the geometry and the batch size.
     fn gemm_ws(
         &self,
         x: &Tensor,

@@ -14,6 +14,12 @@
 //! argument. (The old `matmul_at`/`matmul_bt` entry points are gone —
 //! a transposed view *is* the strided layout they special-cased.)
 //!
+//! One product skips the B pack: a **stride-1 convolution forward** reads
+//! the patch matrix in place from a zero-bordered copy of the image
+//! (`InPlaceConv`, behind [`conv_gemm_fwd_ws`]) — same A panels, same
+//! `KC` blocks, same chains, so the same bits, without a gather that
+//! `m = 16` output channels could never amortise.
+//!
 //! ## Loop structure
 //!
 //! ```text
@@ -195,58 +201,55 @@ pub(crate) fn gemm_with(
                     );
                 }
             });
-            let a_slice = &mut a_pack[..panels * kc * MR];
-            pool::parallel_rows_mut(a_slice, kc * MR, 2, |prange, block| {
-                for (bi, p) in prange.enumerate() {
-                    pack_a_panel(a, m, p * MR, pc, kc, &mut block[bi * kc * MR..][..kc * MR]);
-                }
-            });
-
-            // Parallel over full MR-row panels of C; the ragged tail panel
-            // (if any) runs on the calling thread afterwards. Both paths
-            // use identical packed data, so the split is invisible to the
-            // accumulation chains.
-            let full_rows = (m / MR) * MR;
-            let (head, tail) = out.split_at_mut(full_rows * n);
-            let a_slice = &a_pack[..panels * kc * MR];
             let b_slice = &b_pack[..strips * kc * nr];
-            if !head.is_empty() {
-                pool::parallel_rows_mut(head, MR * n, 1, |prange, block| {
-                    for (bi, p) in prange.enumerate() {
-                        compute_panel(
-                            kern,
-                            &a_slice[p * kc * MR..][..kc * MR],
-                            b_slice,
-                            &mut block[bi * MR * n..][..MR * n],
-                            MR,
-                            n,
-                            nc,
-                            jc,
-                            kc,
-                        );
-                    }
-                });
-            }
-            if !tail.is_empty() {
-                let p = full_rows / MR;
-                compute_panel(
-                    kern,
-                    &a_slice[p * kc * MR..][..kc * MR],
-                    b_slice,
-                    tail,
-                    m - full_rows,
-                    n,
-                    nc,
-                    jc,
-                    kc,
-                );
-            }
+            for_each_panel(a, m, pc, kc, &mut a_pack, out, |a_panel, c_rows, rows| {
+                compute_panel(kern, a_panel, b_slice, c_rows, rows, n, nc, jc, kc);
+            });
             pc += kc;
         }
         jc += nc;
     }
     ws.recycle_vec(a_pack);
     ws.recycle_vec(b_pack);
+}
+
+/// Packs depth block `pc..pc+kc` of A into `a_pack` (parallel over
+/// panels), then hands every `MR`-row panel of `out` to
+/// `panel(a_panel, c_rows, rows)` with its packed A panel.
+///
+/// Full panels fan out over the pool; the ragged tail panel (if any) runs
+/// on the calling thread afterwards. Both use identical packed data, so
+/// the split is invisible to the accumulation chains.
+fn for_each_panel(
+    a: AccessA<'_>,
+    m: usize,
+    pc: usize,
+    kc: usize,
+    a_pack: &mut [f32],
+    out: &mut [f32],
+    panel: impl Fn(&[f32], &mut [f32], usize) + Sync,
+) {
+    let n = out.len() / m;
+    let a_slice = &mut a_pack[..m.div_ceil(MR) * kc * MR];
+    pool::parallel_rows_mut(a_slice, kc * MR, 2, |prange, block| {
+        for (bi, p) in prange.enumerate() {
+            pack_a_panel(a, m, p * MR, pc, kc, &mut block[bi * kc * MR..][..kc * MR]);
+        }
+    });
+    let a_slice = &*a_slice;
+    let full_rows = (m / MR) * MR;
+    let (head, tail) = out.split_at_mut(full_rows * n);
+    if !head.is_empty() {
+        pool::parallel_rows_mut(head, MR * n, 1, |prange, block| {
+            for (bi, p) in prange.enumerate() {
+                let c_rows = &mut block[bi * MR * n..][..MR * n];
+                panel(&a_slice[p * kc * MR..][..kc * MR], c_rows, MR);
+            }
+        });
+    }
+    if !tail.is_empty() {
+        panel(&a_slice[full_rows * kc..][..kc * MR], tail, m - full_rows);
+    }
 }
 
 /// One packed A panel (`kc` steps × `MR` rows, k-major) against every
@@ -563,10 +566,138 @@ impl<'a> PatchMatrix<'a> {
     }
 }
 
+/// A stride-1 convolution's patch matrix read **in place**: the input is
+/// copied once into a zero-bordered `[N, C, H+2p, W+2p]` image and output
+/// positions are numbered along *that image's* row pitch, `q = oy·Wp + ox`.
+/// Tap `(ci, ky, kx)` of `nr` consecutive positions is then `nr`
+/// consecutive floats at `q + ci·Hp·Wp + ky·Wp + kx`, so the microkernel
+/// loads its B operand straight from the image through a tap-offset table
+/// ([`KernelF32::run_taps`]) — no gather, no clipping, no packed strip.
+/// The positions with `ox ≥ OW` are computed and discarded.
+struct InPlaceConv {
+    /// The bordered images, plus one strip of zero slack: the last strip
+    /// of the last image reads up to `nr − 1` floats past its last position.
+    image: Vec<f32>,
+    /// `offs[row]`: offset of patch row `(ci, ky, kx)` from a position.
+    offs: Vec<usize>,
+    batch: usize,
+    /// Elements per bordered image, `C·Hp·Wp`.
+    img: usize,
+    /// Bordered row pitch `Wp`.
+    wp: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl InPlaceConv {
+    fn new(p: &PatchMatrix<'_>, nr: usize, ws: &mut Workspace) -> Self {
+        let geo = &p.geo;
+        assert_eq!(geo.stride, 1, "in-place conv needs stride 1");
+        let (hp, wp) = (geo.in_h + 2 * geo.pad, geo.in_w + 2 * geo.pad);
+        let plane = hp * wp;
+        let mut image = ws.take_zeroed(p.batch * p.channels * plane + nr);
+        for pl in 0..p.batch * p.channels {
+            for y in 0..geo.in_h {
+                image[pl * plane + (y + geo.pad) * wp + geo.pad..][..geo.in_w]
+                    .copy_from_slice(&p.src[(pl * geo.in_h + y) * geo.in_w..][..geo.in_w]);
+            }
+        }
+        let mut offs = ws.take_indices(p.rows());
+        for (row, o) in offs.iter_mut().enumerate() {
+            let (ci, ky, kx) = p.split_row(row);
+            *o = ci * plane + ky * wp + kx;
+        }
+        Self {
+            image,
+            offs,
+            batch: p.batch,
+            img: p.channels * plane,
+            wp,
+            oh: p.oh,
+            ow: p.ow,
+        }
+    }
+
+    /// One packed A panel (depth block `pc..`) against every strip of
+    /// every image, into `rows` rows of the dense `[c_out, N·OH·OW]`
+    /// product. The first depth block stores and later ones add — the same
+    /// bits as adding into zeros, because an accumulator that starts at
+    /// `+0.0` is never `-0.0`.
+    fn compute_panel(
+        &self,
+        kern: &KernelF32,
+        a_panel: &[f32],
+        pc: usize,
+        c_rows: &mut [f32],
+        rows: usize,
+    ) {
+        let nr = kern.nr;
+        let taps = &self.offs[pc..pc + a_panel.len() / MR];
+        let n = self.batch * self.oh * self.ow;
+        // Positions per image along the bordered pitch.
+        let q_n = (self.oh - 1) * self.wp + self.ow;
+        let mut acc = [0.0f32; simd::ACC_F32];
+        for ni in 0..self.batch {
+            let (mut oy, mut ox) = (0, 0);
+            for q0 in (0..q_n).step_by(nr) {
+                (kern.run_taps)(a_panel, &self.image[ni * self.img + q0..], taps, &mut acc);
+                // The strip's live positions, one run per image row it
+                // touches; a run keeps its columns left of `OW`.
+                let live = nr.min(q_n - q0);
+                let mut c = 0;
+                while c < live {
+                    let len = (self.wp - ox).min(live - c);
+                    let keep = len.min(self.ow.saturating_sub(ox));
+                    if keep > 0 {
+                        let j = (ni * self.oh + oy) * self.ow + ox;
+                        for r in 0..rows {
+                            let dst = &mut c_rows[r * n + j..][..keep];
+                            let src = &acc[r * nr + c..][..keep];
+                            if pc == 0 {
+                                dst.copy_from_slice(src);
+                            } else {
+                                for (d, s) in dst.iter_mut().zip(src) {
+                                    *d += s;
+                                }
+                            }
+                        }
+                    }
+                    c += len;
+                    ox += len;
+                    if ox == self.wp {
+                        (oy, ox) = (oy + 1, 0);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `out[m, N·OH·OW] = wmat[m, k] · patches`, every element overwritten
+    /// (so `out` may start dirty); the image and tap table go back to
+    /// `ws`. A panels are packed as in [`gemm_with`] and `KC` blocks
+    /// accumulate in the same order, so every element's chain — and every
+    /// bit — is the packed path's.
+    fn run(self, kern: &KernelF32, wmat: &[f32], m: usize, out: &mut [f32], ws: &mut Workspace) {
+        let k = self.offs.len();
+        let a = AccessA::row_major(wmat, k);
+        let mut a_pack = ws.take_dirty(m.div_ceil(MR) * MR * KC.min(k));
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            for_each_panel(a, m, pc, kc, &mut a_pack, out, |a_panel, c_rows, rows| {
+                self.compute_panel(kern, a_panel, pc, c_rows, rows);
+            });
+        }
+        ws.recycle_vec(a_pack);
+        ws.recycle_vec(self.image);
+        ws.recycle_indices(self.offs);
+    }
+}
+
 /// Convolution forward as implicit GEMM:
 /// `wmat[c_out, C·K·K] · patches[C·K·K, N·OH·OW] → [c_out, N·OH·OW]`,
-/// with the patch matrix gathered from the image during packing instead of
-/// being materialised. Output and scratch are drawn from `ws`.
+/// with the patch matrix never materialised: read in place from a
+/// zero-bordered copy of the image at stride 1, gathered from the image
+/// during packing otherwise. Output and scratch are drawn from `ws`.
 ///
 /// # Panics
 ///
@@ -577,20 +708,36 @@ pub fn conv_gemm_fwd_ws(
     patches: &PatchMatrix<'_>,
     ws: &mut Workspace,
 ) -> crate::tensor::Tensor {
+    let in_place = patches.geo.stride == 1;
+    conv_gemm_fwd_with(simd::active_f32(), in_place, wmat, patches, ws)
+}
+
+/// [`conv_gemm_fwd_ws`] pinned to one microkernel variant and one way of
+/// reading B (`in_place` needs stride 1). Test-only: the bit-identity
+/// proptests drive every variant down both paths through here.
+#[doc(hidden)]
+pub fn conv_gemm_fwd_with(
+    kern: &KernelF32,
+    in_place: bool,
+    wmat: &crate::tensor::Tensor,
+    patches: &PatchMatrix<'_>,
+    ws: &mut Workspace,
+) -> crate::tensor::Tensor {
     let d = wmat.dims();
     assert_eq!(d.len(), 2, "conv_gemm_fwd weight rank {}", d.len());
     let (m, k, n) = (d[0], d[1], patches.cols());
     assert_eq!(k, patches.rows(), "weight columns {k} != patch rows");
-    let mut out = ws.take_zeroed(m * n);
-    gemm(
-        m,
-        n,
-        k,
-        AccessA::row_major(wmat.data(), k),
-        AccessB::Patches(patches),
-        &mut out,
-        ws,
-    );
+    let out = if in_place && m * k * n > 0 {
+        let conv = InPlaceConv::new(patches, kern.nr, ws);
+        let mut out = ws.take_dirty(m * n); // fully overwritten
+        conv.run(kern, wmat.data(), m, &mut out, ws);
+        out
+    } else {
+        let mut out = ws.take_zeroed(m * n);
+        let a = AccessA::row_major(wmat.data(), k);
+        gemm_with(kern, m, n, k, a, AccessB::Patches(patches), &mut out, ws);
+        out
+    };
     crate::tensor::Tensor::from_vec(out, &[m, n])
 }
 

@@ -74,7 +74,9 @@ mod tensor;
 mod view;
 mod workspace;
 
-pub use gemm::{conv_gemm_dw_ws, conv_gemm_fwd_ws, PatchMatrix, KC, MR, NC, NR};
+pub use gemm::{
+    conv_gemm_dw_ws, conv_gemm_fwd_with, conv_gemm_fwd_ws, PatchMatrix, KC, MR, NC, NR,
+};
 pub use im2col::{col2im, col2im_ws, im2col, im2col_ws, Conv2dGeometry};
 pub use init::{kaiming_normal, kaiming_uniform, xavier_uniform};
 pub use rng::Prng;

@@ -9,7 +9,10 @@
 //!
 //! * **f32 kernels** — scalar 4×8 (the always-correct fallback, identical
 //!   to the pre-dispatch autovectorized kernel), AVX2 4×8, AVX2 4×16
-//!   (default on AVX2 hosts), and NEON 4×8 on `aarch64`.
+//!   (default on AVX2 hosts), and NEON 4×8 on `aarch64`. Each has two
+//!   entries over one tile body: `run` streams a packed B strip,
+//!   `run_taps` reads B in place through an offset table (the stride-1
+//!   convolution forward, which never packs B).
 //! * **int8 kernels** — scalar 4×16 and AVX2 4×16 (`_mm256_madd_epi16`
 //!   over sign-extended k-pairs), both accumulating in `i32` (exact) —
 //!   plus the quantize-strip kernels that pack f32 activations into the
@@ -67,7 +70,16 @@ pub struct KernelF32 {
     /// The kernel entry point. `a_panel.len() == kc * MR`,
     /// `b_strip.len() == kc * nr`.
     pub run: fn(&[f32], &[f32], &mut [f32; ACC_F32]),
+    /// The same tile with B read in place of a packed strip:
+    /// `run_taps(a_panel, src, offs, acc)` takes step `k`'s `nr` values
+    /// from `src[offs[k]..][..nr]` (bounds-checked), so
+    /// `a_panel.len() == offs.len() * MR`. One tile body serves both
+    /// entries, so the rounding sequence is the same by construction.
+    pub run_taps: TapsFn,
 }
+
+/// [`KernelF32::run_taps`]: `(a_panel, src, offs, acc)`.
+pub type TapsFn = fn(&[f32], &[f32], &[usize], &mut [f32; ACC_F32]);
 
 /// One int8 microkernel variant: computes a full `MR × NR_I8` i32 tile
 /// from k-paired packed panels (see [`crate::quant`] for the layout:
@@ -99,17 +111,53 @@ pub struct KernelQuant {
 
 /// The pre-dispatch 4×8 kernel, verbatim: separate mul and add per k step,
 /// ascending k — the rounding sequence every other variant must reproduce.
-fn scalar_f32_4x8(a_panel: &[f32], b_strip: &[f32], acc: &mut [f32; ACC_F32]) {
+fn scalar_f32_4x8<'a>(a_panel: &[f32], b: impl BRows<'a>, acc: &mut [f32; ACC_F32]) {
     let mut tile = [[0.0f32; 8]; MR];
-    for (ak, bk) in a_panel.chunks_exact(MR).zip(b_strip.chunks_exact(8)) {
+    for (ak, bk) in a_panel.chunks_exact(MR).zip(b.rows(8)) {
         for (row, &av) in tile.iter_mut().zip(ak) {
-            for (slot, &bv) in row.iter_mut().zip(bk) {
+            for (slot, &bv) in row.iter_mut().zip(&bk[..8]) {
                 *slot += av * bv;
             }
         }
     }
     for (r, row) in tile.iter().enumerate() {
         acc[r * 8..r * 8 + 8].copy_from_slice(row);
+    }
+}
+
+/// Where a tile reads step `k`'s `nr` B values. Each variant's tile body
+/// is generic over this, so the packed and the in-place entry share one
+/// rounding sequence by construction. The kernel itself asks for the rows
+/// (with its constant `nr`), so the iterator is built — and inlined —
+/// inside the `#[target_feature]` function.
+trait BRows<'a>: Copy {
+    fn rows(self, nr: usize) -> impl Iterator<Item = &'a [f32]>;
+}
+
+/// A packed k-major strip: step `k` is `strip[k*nr..][..nr]`.
+#[derive(Clone, Copy)]
+struct Strip<'a>(&'a [f32]);
+
+impl<'a> BRows<'a> for Strip<'a> {
+    #[inline(always)]
+    fn rows(self, nr: usize) -> impl Iterator<Item = &'a [f32]> {
+        self.0.chunks_exact(nr)
+    }
+}
+
+/// B read in place: step `k` is `src[offs[k]..][..nr]`. The slice is
+/// bounds-checked, so a wrong offset table panics instead of reading out
+/// of bounds.
+#[derive(Clone, Copy)]
+struct Taps<'a> {
+    src: &'a [f32],
+    offs: &'a [usize],
+}
+
+impl<'a> BRows<'a> for Taps<'a> {
+    #[inline(always)]
+    fn rows(self, nr: usize) -> impl Iterator<Item = &'a [f32]> {
+        self.offs.iter().map(move |&o| &self.src[o..o + nr])
     }
 }
 
@@ -137,7 +185,8 @@ fn scalar_i8_4x16(a_panel: &[i8], b_strip: &[i8], acc: &mut [i32; ACC_I8]) {
 pub(crate) static SCALAR_F32: KernelF32 = KernelF32 {
     name: "scalar_4x8",
     nr: 8,
-    run: scalar_f32_4x8,
+    run: |a, b, acc| scalar_f32_4x8(a, Strip(b), acc),
+    run_taps: |a, src, offs, acc| scalar_f32_4x8(a, Taps { src, offs }, acc),
 };
 
 pub(crate) static SCALAR_I8: KernelI8 = KernelI8 {
@@ -173,7 +222,7 @@ pub(crate) static SCALAR_QUANT: KernelQuant = KernelQuant {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{ACC_F32, ACC_I8, MR, NR_I8};
+    use super::{BRows, ACC_F32, ACC_I8, MR, NR_I8};
     use core::arch::x86_64::{
         __m128i, _mm256_add_epi32, _mm256_add_ps, _mm256_broadcastd_epi32, _mm256_castsi256_si128,
         _mm256_cvtepi8_epi16, _mm256_cvtps_epi32, _mm256_extracti128_si256, _mm256_loadu_ps,
@@ -190,13 +239,14 @@ mod x86 {
     ///
     /// Caller must have verified the `avx2` CPU feature.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn f32_4x8(a_panel: &[f32], b_strip: &[f32], acc: &mut [f32; ACC_F32]) {
+    pub(super) unsafe fn f32_4x8<'a>(a_panel: &[f32], b: impl BRows<'a>, acc: &mut [f32; ACC_F32]) {
         let mut c0 = _mm256_setzero_ps();
         let mut c1 = _mm256_setzero_ps();
         let mut c2 = _mm256_setzero_ps();
         let mut c3 = _mm256_setzero_ps();
-        for (ak, bk) in a_panel.chunks_exact(MR).zip(b_strip.chunks_exact(8)) {
-            // SAFETY: `bk` is exactly 8 contiguous f32s (chunks_exact(8)).
+        for (ak, bk) in a_panel.chunks_exact(MR).zip(b.rows(8)) {
+            let bk = &bk[..8];
+            // SAFETY: `bk` was just sliced to 8 contiguous f32s.
             let bv = unsafe { _mm256_loadu_ps(bk.as_ptr()) };
             c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(ak[0]), bv));
             c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_set1_ps(ak[1]), bv));
@@ -221,7 +271,11 @@ mod x86 {
     ///
     /// Caller must have verified the `avx2` CPU feature.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn f32_4x16(a_panel: &[f32], b_strip: &[f32], acc: &mut [f32; ACC_F32]) {
+    pub(super) unsafe fn f32_4x16<'a>(
+        a_panel: &[f32],
+        b: impl BRows<'a>,
+        acc: &mut [f32; ACC_F32],
+    ) {
         let mut c0 = _mm256_setzero_ps();
         let mut c1 = _mm256_setzero_ps();
         let mut c2 = _mm256_setzero_ps();
@@ -230,9 +284,10 @@ mod x86 {
         let mut d1 = _mm256_setzero_ps();
         let mut d2 = _mm256_setzero_ps();
         let mut d3 = _mm256_setzero_ps();
-        for (ak, bk) in a_panel.chunks_exact(MR).zip(b_strip.chunks_exact(16)) {
-            // SAFETY: `bk` is exactly 16 contiguous f32s (chunks_exact(16));
-            // the two loads read lanes 0..8 and 8..16.
+        for (ak, bk) in a_panel.chunks_exact(MR).zip(b.rows(16)) {
+            let bk = &bk[..16];
+            // SAFETY: `bk` was just sliced to 16 contiguous f32s; the two
+            // loads read lanes 0..8 and 8..16.
             let (blo, bhi) = unsafe {
                 (
                     _mm256_loadu_ps(bk.as_ptr()),
@@ -404,14 +459,26 @@ mod x86 {
 fn avx2_f32_4x8(a: &[f32], b: &[f32], acc: &mut [f32; ACC_F32]) {
     // SAFETY: this entry is only ever installed by `select_f32` /
     // `host_variants_f32` after `is_x86_feature_detected!("avx2")`.
-    unsafe { x86::f32_4x8(a, b, acc) }
+    unsafe { x86::f32_4x8(a, Strip(b), acc) }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn avx2_f32_4x8_taps(a: &[f32], src: &[f32], offs: &[usize], acc: &mut [f32; ACC_F32]) {
+    // SAFETY: as for `avx2_f32_4x8`.
+    unsafe { x86::f32_4x8(a, Taps { src, offs }, acc) }
 }
 
 #[cfg(target_arch = "x86_64")]
 fn avx2_f32_4x16(a: &[f32], b: &[f32], acc: &mut [f32; ACC_F32]) {
     // SAFETY: this entry is only ever installed by `select_f32` /
     // `host_variants_f32` after `is_x86_feature_detected!("avx2")`.
-    unsafe { x86::f32_4x16(a, b, acc) }
+    unsafe { x86::f32_4x16(a, Strip(b), acc) }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn avx2_f32_4x16_taps(a: &[f32], src: &[f32], offs: &[usize], acc: &mut [f32; ACC_F32]) {
+    // SAFETY: as for `avx2_f32_4x16`.
+    unsafe { x86::f32_4x16(a, Taps { src, offs }, acc) }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -426,6 +493,7 @@ pub(crate) static AVX2_F32_4X8: KernelF32 = KernelF32 {
     name: "avx2_4x8",
     nr: 8,
     run: avx2_f32_4x8,
+    run_taps: avx2_f32_4x8_taps,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -433,6 +501,7 @@ pub(crate) static AVX2_F32_4X16: KernelF32 = KernelF32 {
     name: "avx2_4x16",
     nr: 16,
     run: avx2_f32_4x16,
+    run_taps: avx2_f32_4x16_taps,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -460,7 +529,7 @@ pub(crate) static AVX2_QUANT: KernelQuant = KernelQuant {
 
 #[cfg(target_arch = "aarch64")]
 mod arm {
-    use super::{ACC_F32, MR};
+    use super::{BRows, ACC_F32, MR};
     use core::arch::aarch64::{vaddq_f32, vdupq_n_f32, vld1q_f32, vmulq_f32, vst1q_f32};
 
     /// NEON 4×8: two 4-lane accumulators per row. `vmulq`/`vaddq`, not
@@ -471,10 +540,11 @@ mod arm {
     /// Caller must have verified the `neon` CPU feature (baseline on
     /// aarch64, but the contract is stated for symmetry with AVX2).
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn f32_4x8(a_panel: &[f32], b_strip: &[f32], acc: &mut [f32; ACC_F32]) {
+    pub(super) unsafe fn f32_4x8<'a>(a_panel: &[f32], b: impl BRows<'a>, acc: &mut [f32; ACC_F32]) {
         let mut tile = [vdupq_n_f32(0.0); 8]; // rows × (lo, hi)
-        for (ak, bk) in a_panel.chunks_exact(MR).zip(b_strip.chunks_exact(8)) {
-            // SAFETY: `bk` is exactly 8 contiguous f32s (chunks_exact(8)).
+        for (ak, bk) in a_panel.chunks_exact(MR).zip(b.rows(8)) {
+            let bk = &bk[..8];
+            // SAFETY: `bk` was just sliced to 8 contiguous f32s.
             let (blo, bhi) = unsafe { (vld1q_f32(bk.as_ptr()), vld1q_f32(bk.as_ptr().add(4))) };
             for r in 0..MR {
                 let av = vdupq_n_f32(ak[r]);
@@ -497,7 +567,13 @@ mod arm {
 fn neon_f32_4x8(a: &[f32], b: &[f32], acc: &mut [f32; ACC_F32]) {
     // SAFETY: NEON is part of the aarch64 baseline ABI, so the feature is
     // always present when this cfg compiles.
-    unsafe { arm::f32_4x8(a, b, acc) }
+    unsafe { arm::f32_4x8(a, Strip(b), acc) }
+}
+
+#[cfg(target_arch = "aarch64")]
+fn neon_f32_4x8_taps(a: &[f32], src: &[f32], offs: &[usize], acc: &mut [f32; ACC_F32]) {
+    // SAFETY: as for `neon_f32_4x8`.
+    unsafe { arm::f32_4x8(a, Taps { src, offs }, acc) }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -505,6 +581,7 @@ pub(crate) static NEON_F32_4X8: KernelF32 = KernelF32 {
     name: "neon_4x8",
     nr: 8,
     run: neon_f32_4x8,
+    run_taps: neon_f32_4x8_taps,
 };
 
 // ---------------------------------------------------------------------------
@@ -659,6 +736,44 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn every_f32_taps_tile_equals_the_packed_tile() {
+        // Overlapping, unordered offsets into one source: the in-place
+        // entry must equal the packed entry on the strip those offsets
+        // gather, bit for bit.
+        let mut rng = Prng::new(5);
+        let src: Vec<f32> = (0..200).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        for kern in host_variants_f32() {
+            for kc in [0, 1, 9, 144, 256] {
+                let (a, _) = rand_panels(kc as u64 + 3, kc, kern.nr);
+                let offs: Vec<usize> = (0..kc).map(|k| (k * 37) % (200 - kern.nr + 1)).collect();
+                let strip: Vec<f32> = offs
+                    .iter()
+                    .flat_map(|&o| src[o..o + kern.nr].iter().copied())
+                    .collect();
+                let mut want = [f32::NAN; ACC_F32];
+                (kern.run)(&a, &strip, &mut want);
+                let mut got = [f32::NAN; ACC_F32];
+                (kern.run_taps)(&a, &src, &offs, &mut got);
+                assert_eq!(
+                    &got[..MR * kern.nr],
+                    &want[..MR * kern.nr],
+                    "kernel {} taps tile diverged at kc={kc}",
+                    kern.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_tap_past_the_source_panics() {
+        let kern = active_f32();
+        let src = vec![0.0f32; kern.nr + 3];
+        let mut acc = [0.0f32; ACC_F32];
+        (kern.run_taps)(&[1.0; MR], &src, &[4], &mut acc);
     }
 
     #[test]

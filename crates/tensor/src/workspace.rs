@@ -58,7 +58,8 @@ impl Workspace {
     }
 
     /// Takes a zero-filled `f32` buffer of exactly `len` elements,
-    /// preferring the smallest pooled buffer whose capacity suffices.
+    /// preferring the smallest pooled buffer that fits it without wasting
+    /// more than half its capacity.
     pub fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
         match best_fit(&self.free_f32, len) {
             Some(i) => {
@@ -230,16 +231,21 @@ impl Workspace {
     }
 }
 
-/// Index of the smallest pooled buffer with `capacity() >= len`, if any.
+/// Index of the smallest pooled buffer that fits `len` with at most half
+/// of its capacity wasted (`cap / 2 <= len <= cap`), if any.
 ///
-/// A request nothing fits is served by a fresh allocation instead of
-/// growing a pooled buffer — growing would slowly inflate every pooled
-/// buffer toward the largest request size and delay the steady state.
+/// A request nothing fits is served by a fresh exact-size allocation
+/// instead of growing a pooled buffer — growing would slowly inflate every
+/// pooled buffer toward the largest request size and delay the steady
+/// state. The waste bound is for callers that *keep* what they take: a
+/// 10-float logits tensor must not walk off with a 28 KB pack buffer. Once
+/// recycled, the exact-size buffer is its own size class, so a steady
+/// take/recycle cycle still stops allocating after its first round.
 fn best_fit<T>(pool: &[Vec<T>], len: usize) -> Option<usize> {
     let mut best: Option<(usize, usize)> = None;
     for (i, v) in pool.iter().enumerate() {
         let cap = v.capacity();
-        if cap >= len && best.is_none_or(|(_, b)| cap < b) {
+        if cap >= len && cap / 2 <= len && best.is_none_or(|(_, b)| cap < b) {
             best = Some((i, cap));
         }
     }
@@ -286,6 +292,54 @@ mod tests {
         let v = ws.take_zeroed(8);
         assert!(v.capacity() >= 8 && v.capacity() < 100, "took the 10-cap");
         assert_eq!(ws.buffers_held(), 1);
+    }
+
+    #[test]
+    fn kept_small_tensors_do_not_walk_off_with_big_buffers() {
+        // A caller that keeps its results (an oracle keeping logits) must
+        // retain about what it asked for, not the arena's larger classes.
+        let mut ws = Workspace::new();
+        for cap in [7_000, 15_000, 60_000] {
+            ws.recycle_vec(Vec::with_capacity(cap));
+        }
+        let kept: Vec<Tensor> = (0..256)
+            .map(|_| {
+                let scratch = ws.take_dirty(7_000);
+                let logits = ws.tensor_zeroed(&[1, 10]);
+                ws.recycle_vec(scratch);
+                logits
+            })
+            .collect();
+        let retained: usize = kept.into_iter().map(|t| t.into_vec().capacity()).sum();
+        assert!(
+            retained <= 2 * 256 * 10,
+            "256 logits retain {retained} floats"
+        );
+        assert_eq!(ws.buffers_held(), 3, "the big classes stayed pooled");
+    }
+
+    #[test]
+    fn steady_take_recycle_cycle_reuses() {
+        // Mixed sizes, each too small for the next class up: after one
+        // round every size has its own buffer and nothing grows.
+        let mut ws = Workspace::new();
+        let round = |ws: &mut Workspace| {
+            let big = ws.take_dirty(7_000);
+            let mid = ws.take_zeroed(720);
+            let small = ws.tensor_zeroed(&[1, 10]);
+            let idx = ws.take_indices(9);
+            ws.recycle_vec(big);
+            ws.recycle_vec(mid);
+            ws.recycle(small);
+            ws.recycle_indices(idx);
+        };
+        round(&mut ws);
+        let (held, bytes) = (ws.buffers_held(), ws.bytes_held());
+        assert_eq!(held, 4);
+        for _ in 0..100 {
+            round(&mut ws);
+        }
+        assert_eq!((ws.buffers_held(), ws.bytes_held()), (held, bytes));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 
 use fluid_tensor::quant::{qgemm_ws, QuantSrcB, QuantizedMatrix};
 use fluid_tensor::{
-    col2im, conv_gemm_dw_ws, conv_gemm_fwd_ws, im2col, pool, Conv2dGeometry, PatchMatrix, Prng,
-    Tensor, Workspace, KC, MR, NR,
+    col2im, conv_gemm_dw_ws, conv_gemm_fwd_with, conv_gemm_fwd_ws, im2col, pool, simd,
+    Conv2dGeometry, PatchMatrix, Prng, Tensor, Workspace, KC, MR, NR,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -210,6 +210,47 @@ proptest! {
             let patches = PatchMatrix::new(x.data(), batch, c_in, geo);
             conv_gemm_dw_ws(&g, &patches, &mut Workspace::new())
         })?;
+    }
+
+    #[test]
+    fn in_place_conv_is_bit_identical_to_the_packed_paths(
+        seed in 0u64..1000,
+        batch in 1usize..4,
+        c_in in 1usize..6,
+        c_out in 1usize..10,
+        h in 1usize..10,
+        w in 1usize..10,
+        pad in 0usize..3,
+        kernel in prop_oneof![Just(1usize), Just(3usize), Just(5usize)],
+        deep in any::<bool>(),
+    ) {
+        // Stride-1 forward read in place from the zero-bordered image vs
+        // the same product through `AccessB::Patches` packing vs a plain
+        // matmul over the materialised patch matrix: one accumulation
+        // chain, so exact equality — for every kernel the host can run, at
+        // 1/2/8 threads, ragged in every extent, with `k = C·K·K` on both
+        // sides of `KC` (`deep` lifts it just past one block).
+        let c_in = c_in + if deep { KC / (kernel * kernel) } else { 0 };
+        let h = h.max(kernel.saturating_sub(2 * pad));
+        let w = w.max(kernel.saturating_sub(2 * pad));
+        let geo = Conv2dGeometry::new(h, w, kernel, 1, pad);
+        let x = random_tensor(seed, &[batch, c_in, h, w]);
+        let wmat = random_tensor(seed ^ 21, &[c_out, c_in * kernel * kernel]);
+        let want = wmat.matmul(&im2col(&x, &geo));
+        for kern in simd::host_variants_f32() {
+            for in_place in [true, false] {
+                let run = || {
+                    let patches = PatchMatrix::new(x.data(), batch, c_in, geo);
+                    conv_gemm_fwd_with(kern, in_place, &wmat, &patches, &mut Workspace::new())
+                };
+                assert_thread_invariant(run)?;
+                prop_assert!(
+                    run() == want,
+                    "kernel {} (in_place {in_place}) differs from matmul over im2col",
+                    kern.name
+                );
+            }
+        }
     }
 
     #[test]
