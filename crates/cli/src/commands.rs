@@ -82,6 +82,9 @@ USAGE:
                   [--precision f32|int8] [--max-batch N] [--max-wait-ms N]
                   [--queue-cap N] [--tenants SPEC] [--slo-ms F]
                   [--duration-s N] (0 = run until killed)
+                  (--max-wait-ms caps how long a request waits for co-riders
+                   behind busy workers; a batch leaves sooner once it is full
+                   or a worker is idle, so an idle server never charges it)
   fluidctl loadgen [--connect ADDR] [--requests N] [--clients N]
                   [--open-loop] [--lambda F] [--seed N] [--model-file PATH]
                   [--workers N] [--precision f32|int8] [--max-batch N]

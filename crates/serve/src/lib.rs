@@ -10,15 +10,19 @@
 //!
 //! ```text
 //! client → ServerHandle::submit ─▶ bounded queue ─▶ batcher ─▶ dispatcher ─▶ Backend
-//!            │ sheds past            (queue_cap)     (max_batch,  (least-loaded, │
-//!            ▼ queue_cap                              max_wait)    retry+reattach)
+//!            │ sheds past            (queue_cap)     (goes when   (least-loaded, │
+//!            ▼ queue_cap                              full, a      retry+reattach)
+//!            │                                        worker idles,              │
+//!            ▼                                        or max_wait)               │
 //!          Ticket ◀──────────────── per-request logits ◀── split batch ◀─────────┘
 //! ```
 //!
 //! * **Micro-batching** ([`Server`], [`ServeConfig`]): queued requests are
-//!   coalesced into one forward pass of up to `max_batch` rows; the first
-//!   request waits at most `max_wait` for co-riders. Batched rows are
-//!   bit-identical to serving each request alone.
+//!   coalesced into one forward pass of up to `max_batch` rows. A batch
+//!   leaves when it is full, when a worker has nothing in flight, or when
+//!   its oldest request has waited `max_wait` — whichever is first — so an
+//!   idle server answers at once and batches fill while workers are busy.
+//!   Batched rows are bit-identical to serving each request alone.
 //! * **Dispatch** ([`Backend`], [`EngineBackend`], [`QuantBackend`],
 //!   [`MasterBackend`]):
 //!   batches route to the least-loaded live worker (ties round-robin). A
@@ -104,6 +108,6 @@ pub use backend::{Backend, EngineBackend, MasterBackend, QuantBackend};
 pub use error::ServeError;
 pub use loadgen::{InferClient, LoadgenReport, TenantLoad};
 pub use metrics::{ServeMetrics, TenantMetric, WorkerMetric};
-pub use sched::{adaptive_wait, DrrState, TenancyConfig, TenantClass, TenantPolicy, TokenBucket};
+pub use sched::{DrrState, TenancyConfig, TenantClass, TenantPolicy, TokenBucket};
 pub use server::{ElasticHandle, ServeConfig, Server, ServerHandle, Ticket};
 pub use tcp::{serve_tcp, TcpClient};

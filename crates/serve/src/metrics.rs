@@ -114,8 +114,8 @@ pub struct ServeMetrics {
     pub queue_depth: usize,
     /// Batches dispatched to workers.
     pub batches: u64,
-    /// Mean requests coalesced per batch (the batching win; `> 1` under
-    /// concurrent load).
+    /// Mean requests coalesced per batch: ≈ 1 while workers keep up with
+    /// arrivals, rising toward `max_batch` as requests queue behind them.
     pub mean_batch_requests: f64,
     /// Histogram of batch sizes: `(requests per batch, batch count)`,
     /// ascending.
@@ -210,50 +210,6 @@ impl std::fmt::Display for ServeMetrics {
 /// forever). Far above what accumulates in one autoscaler tick.
 const RECENT_LATENCY_CAP: usize = 8192;
 
-/// Rolling window of the interactive class's recent latencies (seconds):
-/// a fixed ring plus a reused sort scratch, so reading the p95 every batch
-/// allocates nothing in steady state.
-const ROLLING_CAP: usize = 256;
-
-#[derive(Debug)]
-struct RollingP95 {
-    ring: Vec<f64>,
-    pos: usize,
-    scratch: Vec<f64>,
-}
-
-impl RollingP95 {
-    fn new() -> Self {
-        Self {
-            ring: Vec::with_capacity(ROLLING_CAP),
-            pos: 0,
-            scratch: Vec::with_capacity(ROLLING_CAP),
-        }
-    }
-
-    fn push(&mut self, v: f64) {
-        if self.ring.len() < ROLLING_CAP {
-            self.ring.push(v);
-        } else {
-            self.ring[self.pos] = v;
-            self.pos = (self.pos + 1) % ROLLING_CAP;
-        }
-    }
-
-    /// Nearest-rank p95 over the window; `0.0` while empty.
-    fn p95(&mut self) -> f64 {
-        if self.ring.is_empty() {
-            return 0.0;
-        }
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&self.ring);
-        self.scratch
-            .sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let rank = ((0.95 * self.scratch.len() as f64).ceil() as usize).max(1);
-        self.scratch[rank - 1]
-    }
-}
-
 /// Lock-free per-tenant refusal counters, bumped on the submission path.
 #[derive(Debug)]
 struct TenantShedCounters {
@@ -298,9 +254,6 @@ struct HubInner {
     workers: Vec<WorkerCounters>,
     /// One entry per configured tenant; empty without a tenancy table.
     tenants: Vec<TenantLatCounters>,
-    /// Rolling interactive-class latency window driving the adaptive
-    /// batching deadline. `None` when no tenant is interactive.
-    interactive: Option<RollingP95>,
 }
 
 /// Lifecycle of one worker slot, as the metrics hub sees it.
@@ -340,10 +293,6 @@ impl MetricsHub {
     /// `(name, class)` rows. An empty table means single-tenant mode: no
     /// per-tenant tracking at all.
     pub(crate) fn new(worker_names: Vec<String>, tenants: Vec<(String, TenantClass)>) -> Self {
-        let interactive = tenants
-            .iter()
-            .any(|(_, c)| *c == TenantClass::Interactive)
-            .then(RollingP95::new);
         Self {
             start: Instant::now(),
             shed: AtomicU64::new(0),
@@ -365,7 +314,6 @@ impl MetricsHub {
                         completed: 0,
                     })
                     .collect(),
-                interactive,
                 ..HubInner::default()
             }),
         }
@@ -394,16 +342,6 @@ impl MetricsHub {
         }
     }
 
-    /// The interactive class's rolling p95 latency in milliseconds — the
-    /// signal behind the adaptive batching deadline. `0.0` with no
-    /// interactive tenant or no samples yet.
-    pub(crate) fn interactive_p95_ms(&self) -> f64 {
-        self.lock()
-            .interactive
-            .as_mut()
-            .map_or(0.0, |w| w.p95() * 1e3)
-    }
-
     /// A batch completed on worker `slot`: `requests` coalesced requests
     /// covering `rows` input rows, with each request's `(tenant_slot,
     /// end_to_end_latency)`. Tenant slots are ignored without a tenant
@@ -428,11 +366,6 @@ impl MetricsHub {
             if let Some(t) = inner.tenants.get_mut(*tenant) {
                 t.completed += 1;
                 t.latency_s.record(secs);
-                if t.class == TenantClass::Interactive {
-                    if let Some(w) = inner.interactive.as_mut() {
-                        w.push(secs);
-                    }
-                }
             }
         }
         // The recent window is bounded: with no controller attached (no
@@ -721,28 +654,9 @@ mod tests {
         assert_eq!(m.tenants[1].quota_rejected, 2);
         assert_eq!(m.quota_rejected, 2);
         assert!(m.tenants[0].p95_ms < m.tenants[1].p95_ms);
-        // Only the interactive sample lands in the rolling window.
-        assert!((hub.interactive_p95_ms() - 5.0).abs() < 1e-9);
         let text = m.to_string();
         assert!(text.contains("tenant chat"), "{text}");
         assert!(text.contains("quota-rejected"), "{text}");
-    }
-
-    #[test]
-    fn rolling_p95_window_forgets_old_samples() {
-        let hub = MetricsHub::new(
-            vec!["w0".into()],
-            vec![("chat".into(), TenantClass::Interactive)],
-        );
-        for _ in 0..ROLLING_CAP {
-            hub.record_batch(0, 1, 1, &[(0, Duration::from_millis(100))]);
-        }
-        assert!(hub.interactive_p95_ms() > 99.0);
-        // A full window of fast samples displaces the slow era entirely.
-        for _ in 0..ROLLING_CAP {
-            hub.record_batch(0, 1, 1, &[(0, Duration::from_millis(1))]);
-        }
-        assert!(hub.interactive_p95_ms() < 2.0);
     }
 
     #[test]

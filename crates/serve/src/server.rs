@@ -4,17 +4,20 @@
 //! One scheduler thread owns the queues and the batching clock; one thread
 //! per [`Backend`] runs the actual forward passes. The scheduler coalesces
 //! queued requests into batches of up to [`ServeConfig::max_batch`] rows
-//! (waiting at most the batching window after the first request) and routes
-//! each batch to the least-loaded live worker, breaking ties round-robin.
+//! and routes each batch to the least-loaded live worker, breaking ties
+//! round-robin. Batch formation is work-conserving: a batch leaves as soon
+//! as it is full, a worker has nothing in flight, or its oldest request has
+//! waited [`ServeConfig::max_wait`] — whichever comes first — so batches
+//! fill while workers are busy and an idle server answers at once. The
+//! scheduler is event-driven: it sleeps in one `recv` until a request, a
+//! worker's completion, or that deadline wakes it.
 //!
 //! Without a tenancy table (`ServeConfig::tenancy = None`, the default)
-//! there is one anonymous queue, the window is exactly
-//! [`ServeConfig::max_wait`], and behaviour matches the classic single-FIFO
-//! server. With tenancy configured, each tenant has its own queue behind a
-//! token-bucket admission quota; batches are assembled by weighted deficit
-//! round robin (interactive tenants first, no backlogged tenant starved —
-//! see [`crate::sched`]) and the window adapts to the interactive class's
-//! rolling p95 against its SLO ([`crate::sched::adaptive_wait`]).
+//! there is one anonymous queue and behaviour matches the classic
+//! single-FIFO server. With tenancy configured, each tenant has its own
+//! queue behind a token-bucket admission quota, and batches are assembled
+//! by weighted deficit round robin (interactive tenants first, no
+//! backlogged tenant starved — see [`crate::sched`]).
 //!
 //! Because per-sample computations inside one forward pass are independent,
 //! a coalesced batch's rows are **bit-identical** to serving each request
@@ -24,9 +27,10 @@
 use crate::backend::{check_batch_shape, Backend};
 use crate::error::ServeError;
 use crate::metrics::{MetricsHub, ServeMetrics};
-use crate::sched::{adaptive_wait, DrrState, TenancyConfig, TenantClass, TokenBucket};
+use crate::sched::{next_step, DrrState, Step, TenancyConfig, TenantClass, TokenBucket};
 use fluid_tensor::Tensor;
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -58,12 +62,12 @@ pub struct ServeConfig {
     /// Maximum input rows coalesced into one dispatched batch. `1`
     /// disables batching entirely.
     pub max_batch: usize,
-    /// How long the first request of a forming batch waits for co-riders
-    /// before the batch is dispatched anyway. Bounds the latency cost of
-    /// batching. With tenancy configured this is the *base* window — the
-    /// scheduler shrinks it (down to an eighth) as the interactive class's
-    /// rolling p95 nears its SLO, and grows it (up to double) when idle;
-    /// see [`crate::sched::adaptive_wait`].
+    /// The longest a request waits for co-riders while every worker is
+    /// busy: once the oldest queued request is this old its batch is
+    /// dispatched (as the one batch of lookahead a busy worker may hold)
+    /// however few rows it has. A cap, not a floor — a batch leaves earlier
+    /// the moment it is full or a worker has nothing in flight, so an idle
+    /// server never charges it.
     pub max_wait: Duration,
     /// Maximum *outstanding* requests — admitted but not yet answered,
     /// whether queued, batching, or in flight on a worker. A submission
@@ -78,9 +82,9 @@ pub struct ServeConfig {
     /// `docs/PERFORMANCE.md`.
     pub threads: Option<usize>,
     /// Multi-tenant scheduling table. `None` (the default) is classic
-    /// single-FIFO serving; `Some` switches on per-tenant queues, quotas,
-    /// weighted deficit-round-robin batch assembly and the SLO-adaptive
-    /// batching window. See `docs/SERVING.md` § Multi-tenant scheduling.
+    /// single-FIFO serving; `Some` switches on per-tenant queues, quotas
+    /// and weighted deficit-round-robin batch assembly. See
+    /// `docs/SERVING.md` § Multi-tenant scheduling.
     pub tenancy: Option<TenancyConfig>,
 }
 
@@ -209,11 +213,12 @@ enum SchedMsg {
     /// queue (its requests have already waited once).
     Retry(Job),
     /// A worker finished a batch (its `in_flight_rows` already dropped).
-    /// Pure wake-up: a scheduler paced against saturated workers
-    /// re-evaluates immediately instead of sleeping out a pacing tick —
-    /// timer slack on those ticks is what cost the untenanted fast path
-    /// its burst throughput.
+    /// Pure wake-up: capacity freed, so a batch waiting on busy workers
+    /// may leave now and a paced scheduler re-evaluates immediately
+    /// instead of sleeping out its timeout.
     Done,
+    /// [`Server::stop`]: shed everything still queued and exit.
+    Shutdown,
 }
 
 enum SlotMsg {
@@ -460,7 +465,6 @@ pub struct Server {
     sched_tx: Sender<SchedMsg>,
     scheduler: Option<JoinHandle<()>>,
     slots: Arc<Mutex<Vec<Slot>>>,
-    shutdown: Arc<AtomicBool>,
     metrics: Arc<MetricsHub>,
     dims: [usize; 3],
 }
@@ -472,17 +476,6 @@ impl std::fmt::Debug for Server {
             .finish_non_exhaustive()
     }
 }
-
-/// How long idle serving threads sleep between shutdown-flag checks.
-const IDLE_TICK: Duration = Duration::from_millis(25);
-
-/// Fallback nap between saturation probes while every accepting worker
-/// already has a full batch in flight. Workers send [`SchedMsg::Done`]
-/// the moment a batch completes, so in the common case the scheduler
-/// wakes immediately; the tick only bounds the wait when that wake is
-/// lost (e.g. a worker dying mid-batch), making pacing latency
-/// event-driven rather than timer-granularity-bound.
-const PACING_TICK: Duration = Duration::from_micros(200);
 
 impl Server {
     /// Boots the serving instance: one scheduler plus one thread per
@@ -529,7 +522,6 @@ impl Server {
                     .collect()
             }),
         ));
-        let shutdown = Arc::new(AtomicBool::new(false));
         let (sched_tx, sched_rx) = mpsc::channel::<SchedMsg>();
 
         let slots: Vec<Slot> = backends
@@ -555,9 +547,8 @@ impl Server {
         let scheduler = {
             let slots = Arc::clone(&slots);
             let metrics = Arc::clone(&metrics);
-            let shutdown = Arc::clone(&shutdown);
             std::thread::spawn(move || {
-                scheduler_loop(sched_rx, &slots, &cfg, &handle_shared, &metrics, &shutdown)
+                scheduler_loop(&sched_rx, &slots, &cfg, dims, &metrics);
             })
         };
 
@@ -566,7 +557,6 @@ impl Server {
             sched_tx,
             scheduler: Some(scheduler),
             slots,
-            shutdown,
             metrics,
             dims,
         })
@@ -660,8 +650,10 @@ impl Server {
     }
 
     fn stop(&mut self) {
+        // The flag is `submit`'s (and `ElasticHandle::add`'s) fast refusal;
+        // the message is what wakes the scheduler, wherever it is blocked.
         self.handle.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = self.sched_tx.send(SchedMsg::Shutdown);
         if let Some(t) = self.scheduler.take() {
             let _ = t.join();
         }
@@ -1027,27 +1019,19 @@ fn slot_accepting(slot: &Slot) -> bool {
         && !slot.shared.draining.load(Ordering::SeqCst)
 }
 
-/// True when every accepting worker already holds two full batches of
-/// rows (one being served, one queued behind it). The scheduler holds
-/// off assembling in that state: dispatching anyway would turn the
-/// per-slot channels into an unbounded second queue, freezing batch
-/// composition long before service and letting tail latency grow past
-/// what `queue_cap` promises. One batch of lookahead is allowed so a
-/// worker finishing a batch always finds the next one waiting instead of
-/// idling for a pacing tick. With zero accepting workers this is `false`
-/// so dispatch can surface `NoWorkers` instead of stalling.
-fn workers_saturated(slots: &Mutex<Vec<Slot>>, max_batch: usize) -> bool {
-    let slots = lock_slots(slots);
-    let mut any_accepting = false;
-    for s in slots.iter() {
-        if slot_accepting(s) {
-            any_accepting = true;
-            if s.shared.in_flight_rows.load(Ordering::SeqCst) < 2 * max_batch {
-                return false;
-            }
-        }
-    }
-    any_accepting
+/// One pass over the slot table: the least-loaded accepting worker as
+/// `(index, in-flight rows)`, ties broken round-robin from `rr_cursor` so
+/// equally-idle workers share traffic. `None` with no accepting worker.
+/// The row count is all [`next_step`] needs to know about the pool: `0`
+/// means a worker is idle, `2 × max_batch` or more means every one is
+/// saturated.
+fn least_loaded(slots: &[Slot], rr_cursor: usize) -> Option<(usize, usize)> {
+    let n = slots.len();
+    (0..n)
+        .map(|k| (rr_cursor + k) % n)
+        .filter(|&i| slot_accepting(&slots[i]))
+        .map(|i| (i, slots[i].shared.in_flight_rows.load(Ordering::SeqCst)))
+        .min_by_key(|&(_, rows)| rows)
 }
 
 fn spawn_slot(
@@ -1158,161 +1142,132 @@ fn bounce(mut job: Job, retry_tx: &Sender<SchedMsg>, metrics: &MetricsHub, why: 
     job.fail(&ServeError::WorkerFailed(why.to_owned()), metrics);
 }
 
-fn scheduler_loop(
-    rx: Receiver<SchedMsg>,
-    slots: &Mutex<Vec<Slot>>,
-    cfg: &ServeConfig,
-    handle: &HandleShared,
-    metrics: &MetricsHub,
-    shutdown: &AtomicBool,
-) {
-    // One queue per tenant. Without tenancy there is a single anonymous
-    // queue with effectively unbounded DRR credit — the assembly then
-    // degenerates to the classic FIFO coalescing.
-    let (queue_count, order, weights, slo_ms, adaptive) = match &cfg.tenancy {
-        Some(t) => {
-            // Interactive tenants first in the ring: their rows board a
-            // forming batch before batch-class rows.
-            let mut order: Vec<usize> = (0..t.tenants.len()).collect();
-            order.sort_by_key(|&i| match t.tenants[i].class {
-                TenantClass::Interactive => 0,
-                TenantClass::Batch => 1,
-            });
-            let weights: Vec<u32> = t.tenants.iter().map(|p| p.weight).collect();
-            let adaptive = t
-                .tenants
-                .iter()
-                .any(|p| p.class == TenantClass::Interactive);
-            (
-                t.tenants.len(),
-                order,
-                weights,
-                t.interactive_slo_ms,
-                adaptive,
-            )
-        }
-        None => (
-            1,
-            vec![0],
-            vec![u32::try_from(cfg.max_batch).unwrap_or(u32::MAX).max(1)],
-            f64::INFINITY,
-            false,
-        ),
-    };
-    let mut queues: Vec<VecDeque<Request>> = (0..queue_count).map(|_| VecDeque::new()).collect();
-    let mut drr = DrrState::new(queue_count);
-    let mut queued_rows = 0usize;
-    let mut staged: Vec<(usize, Request)> = Vec::new();
-    let mut rr_cursor = 0usize;
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            drain_on_shutdown(&rx, &mut queues, metrics);
-            return;
-        }
-        // Nothing queued: block for the first arrival (bounded, so the
-        // shutdown flag is re-checked every tick).
-        if queued_rows == 0 {
-            match rx.recv_timeout(IDLE_TICK) {
-                Ok(SchedMsg::Request(r)) => {
-                    queued_rows += r.rows;
-                    queues[r.tenant].push_back(r);
-                }
-                Ok(SchedMsg::Retry(job)) => {
-                    metrics.record_retry();
-                    dispatch(job, slots, &mut rr_cursor, metrics);
-                    continue;
-                }
-                Ok(SchedMsg::Done) => continue, // nothing queued; nothing to pace
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return,
+/// The scheduler thread's state: the per-tenant queues and the cursors that
+/// persist from one batch to the next.
+struct Scheduler<'a> {
+    slots: &'a Mutex<Vec<Slot>>,
+    cfg: &'a ServeConfig,
+    dims: [usize; 3],
+    metrics: &'a MetricsHub,
+    /// One queue per tenant. Without tenancy there is a single anonymous
+    /// queue whose DRR credit covers a full batch — the assembly then
+    /// degenerates to the classic FIFO coalescing.
+    queues: Vec<VecDeque<Request>>,
+    queued_rows: usize,
+    /// The DRR ring, interactive tenants first: their rows board a forming
+    /// batch before batch-class rows.
+    order: Vec<usize>,
+    weights: Vec<u32>,
+    drr: DrrState,
+    staged: Vec<(usize, Request)>,
+    rr_cursor: usize,
+}
+
+impl<'a> Scheduler<'a> {
+    fn new(
+        slots: &'a Mutex<Vec<Slot>>,
+        cfg: &'a ServeConfig,
+        dims: [usize; 3],
+        metrics: &'a MetricsHub,
+    ) -> Self {
+        let (order, weights) = match &cfg.tenancy {
+            Some(t) => {
+                let mut order: Vec<usize> = (0..t.tenants.len()).collect();
+                order.sort_by_key(|&i| match t.tenants[i].class {
+                    TenantClass::Interactive => 0,
+                    TenantClass::Batch => 1,
+                });
+                (order, t.tenants.iter().map(|p| p.weight).collect())
             }
-        }
-        // Batch-formation window: coalesce co-riders until the backlog can
-        // fill a batch or the (SLO-adaptive) window elapses.
-        let wait = if adaptive {
-            adaptive_wait(cfg.max_wait, metrics.interactive_p95_ms(), slo_ms)
-        } else {
-            cfg.max_wait
+            None => (
+                vec![0],
+                vec![u32::try_from(cfg.max_batch).unwrap_or(u32::MAX).max(1)],
+            ),
         };
-        let deadline = Instant::now() + wait;
-        while queued_rows < cfg.max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(SchedMsg::Request(r)) => {
-                    queued_rows += r.rows;
-                    queues[r.tenant].push_back(r);
-                }
-                Ok(SchedMsg::Retry(job)) => {
-                    metrics.record_retry();
-                    dispatch(job, slots, &mut rr_cursor, metrics);
-                }
-                Ok(SchedMsg::Done) => {} // capacity freed; the window still governs
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+        Scheduler {
+            slots,
+            cfg,
+            dims,
+            metrics,
+            queues: order.iter().map(|_| VecDeque::new()).collect(),
+            queued_rows: 0,
+            drr: DrrState::new(order.len()),
+            order,
+            weights,
+            staged: Vec::new(),
+            rr_cursor: 0,
         }
-        // Drain everything that has already arrived before assembling:
-        // fairness is judged against true per-tenant backlogs, and the
-        // channel's transport order must not masquerade as queue state.
-        loop {
-            match rx.try_recv() {
-                Ok(SchedMsg::Request(r)) => {
-                    queued_rows += r.rows;
-                    queues[r.tenant].push_back(r);
-                }
-                Ok(SchedMsg::Retry(job)) => {
-                    metrics.record_retry();
-                    dispatch(job, slots, &mut rr_cursor, metrics);
-                }
-                Ok(SchedMsg::Done) => {} // stale wake-up; keep draining
-                Err(_) => break,
+    }
+
+    /// The one place a [`SchedMsg`] is read. `Break` means shut down.
+    fn ingest(&mut self, msg: SchedMsg) -> ControlFlow<()> {
+        match msg {
+            SchedMsg::Request(r) => {
+                self.queued_rows += r.rows;
+                self.queues[r.tenant].push_back(r);
             }
-        }
-        // Worker-paced assembly: while every accepting worker is saturated,
-        // keep ingesting instead of assembling, so batches are composed
-        // against the freshest per-tenant backlogs at the moment a worker
-        // can actually take them.
-        while workers_saturated(slots, cfg.max_batch) && !shutdown.load(Ordering::SeqCst) {
-            match rx.recv_timeout(PACING_TICK) {
-                Ok(SchedMsg::Request(r)) => {
-                    queued_rows += r.rows;
-                    queues[r.tenant].push_back(r);
-                }
-                Ok(SchedMsg::Retry(job)) => {
-                    metrics.record_retry();
-                    dispatch(job, slots, &mut rr_cursor, metrics);
-                }
-                // A worker's completion wake: re-check saturation right
-                // away. The tick is only the fallback (e.g. a worker that
-                // died without sending), not the pace of the fast path.
-                Ok(SchedMsg::Done) => {}
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
+            SchedMsg::Retry(job) => {
+                self.metrics.record_retry();
+                let slots = lock_slots(self.slots);
+                let chosen = least_loaded(&slots, self.rr_cursor);
+                dispatch(job, &slots, chosen, &mut self.rr_cursor, self.metrics);
             }
+            // Nothing to record: the next `step` reads the freed capacity.
+            SchedMsg::Done => {}
+            SchedMsg::Shutdown => return ControlFlow::Break(()),
         }
-        if shutdown.load(Ordering::SeqCst) {
-            continue; // the top of the loop runs the drain path
-        }
-        // Weighted deficit-round-robin assembly (FIFO within each tenant).
-        staged.clear();
-        let rows = drr.assemble(
-            &mut queues,
-            &order,
-            &weights,
-            cfg.max_batch,
-            |r| r.rows,
-            &mut staged,
+        ControlFlow::Continue(())
+    }
+
+    /// Decides what to do next ([`next_step`]) from one read of the slot
+    /// table and, when a batch is due, assembles and sends it under that
+    /// same lock — so the worker the decision saw is the worker that gets
+    /// the batch, and `ElasticHandle::drain` can never miss one.
+    fn step(&mut self) -> Step {
+        let slots = lock_slots(self.slots);
+        let chosen = least_loaded(&slots, self.rr_cursor);
+        // The forming batch's clock started when its oldest request was
+        // admitted, so a backlog that outlived a saturated spell is not
+        // charged a second window.
+        let until_deadline = self
+            .queues
+            .iter()
+            .filter_map(|q| q.front())
+            .map(|r| r.enqueued)
+            .min()
+            .map_or(Duration::ZERO, |oldest| {
+                (oldest + self.cfg.max_wait).saturating_duration_since(Instant::now())
+            });
+        let step = next_step(
+            self.queued_rows,
+            self.cfg.max_batch,
+            chosen.map(|(_, rows)| rows),
+            until_deadline,
         );
-        if rows == 0 {
-            continue;
+        if step == Step::Dispatch {
+            let job = self.assemble();
+            dispatch(job, &slots, chosen, &mut self.rr_cursor, self.metrics);
         }
-        queued_rows -= rows;
-        let mut parts = Vec::with_capacity(staged.len());
-        let mut data = Vec::with_capacity(staged.iter().map(|(_, r)| r.input.data().len()).sum());
-        for (tenant, r) in staged.drain(..) {
+        step
+    }
+
+    /// Weighted deficit-round-robin assembly (FIFO within each tenant) of
+    /// one batch from a non-empty backlog.
+    fn assemble(&mut self) -> Job {
+        self.staged.clear();
+        let rows = self.drr.assemble(
+            &mut self.queues,
+            &self.order,
+            &self.weights,
+            self.cfg.max_batch,
+            |r| r.rows,
+            &mut self.staged,
+        );
+        self.queued_rows -= rows;
+        let mut parts = Vec::with_capacity(self.staged.len());
+        let mut data =
+            Vec::with_capacity(self.staged.iter().map(|(_, r)| r.input.data().len()).sum());
+        for (tenant, r) in self.staged.drain(..) {
             data.extend_from_slice(r.input.data());
             parts.push(Part {
                 respond: r.respond,
@@ -1322,59 +1277,83 @@ fn scheduler_loop(
                 tenant,
             });
         }
-        let [c, h, w] = handle.dims;
-        let job = Job {
+        let [c, h, w] = self.dims;
+        Job {
             input: Tensor::from_vec(data, &[rows, c, h, w]),
             parts,
             attempts: 0,
-        };
-        dispatch(job, slots, &mut rr_cursor, metrics);
+        }
     }
 }
 
-/// Routes one batch to the least-loaded live worker (fewest in-flight
-/// rows), breaking ties round-robin so equally-idle workers share traffic.
-fn dispatch(mut job: Job, slots: &Mutex<Vec<Slot>>, rr_cursor: &mut usize, metrics: &MetricsHub) {
-    loop {
-        let slots = lock_slots(slots);
-        let n = slots.len();
-        if job.attempts > n {
-            drop(slots);
-            job.fail(
-                &ServeError::WorkerFailed("retry budget exhausted".into()),
-                metrics,
-            );
-            return;
+fn scheduler_loop(
+    rx: &Receiver<SchedMsg>,
+    slots: &Mutex<Vec<Slot>>,
+    cfg: &ServeConfig,
+    dims: [usize; 3],
+    metrics: &MetricsHub,
+) {
+    let mut sched = Scheduler::new(slots, cfg, dims, metrics);
+    'serve: loop {
+        // The one blocking receive, for as long as the state allows: forever
+        // with nothing queued, to the batch deadline while a batch waits on
+        // busy workers, a pacing tick while they are saturated — and not at
+        // all when a batch has just left and the next may be due.
+        let first = match sched.step() {
+            Step::Dispatch => Err(RecvTimeoutError::Timeout),
+            Step::Wait(None) => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Step::Wait(Some(timeout)) => rx.recv_timeout(timeout),
+        };
+        if matches!(first, Err(RecvTimeoutError::Disconnected)) {
+            break; // every sender is gone: nobody is left to serve
         }
-        let start = *rr_cursor % n.max(1);
-        let chosen = (0..n)
-            .map(|k| (start + k) % n)
-            .filter(|&i| slot_accepting(&slots[i]))
-            .min_by_key(|&i| slots[i].shared.in_flight_rows.load(Ordering::SeqCst));
-        let Some(i) = chosen else {
-            drop(slots);
-            job.fail(&ServeError::NoWorkers, metrics);
-            return;
+        // Then everything else that has already arrived, so the next
+        // decision is judged against true per-tenant backlogs: the channel's
+        // transport order must not masquerade as queue state.
+        let mut next = first.ok().or_else(|| rx.try_recv().ok());
+        while let Some(msg) = next {
+            if sched.ingest(msg).is_break() {
+                break 'serve;
+            }
+            next = rx.try_recv().ok();
+        }
+    }
+    drain_on_shutdown(rx, &mut sched.queues, metrics);
+}
+
+/// Sends one batch to slot `chosen` (the scheduler's [`least_loaded`] pick,
+/// made under the same `slots` lock), re-picking if that worker's thread
+/// turns out to be gone.
+fn dispatch(
+    mut job: Job,
+    slots: &[Slot],
+    mut chosen: Option<(usize, usize)>,
+    rr_cursor: &mut usize,
+    metrics: &MetricsHub,
+) {
+    loop {
+        if job.attempts > slots.len() {
+            let err = ServeError::WorkerFailed("retry budget exhausted".into());
+            return job.fail(&err, metrics);
+        }
+        let Some((i, _)) = chosen else {
+            return job.fail(&ServeError::NoWorkers, metrics);
         };
         *rr_cursor = i + 1;
         let rows = job.rows();
-        slots[i]
-            .shared
-            .in_flight_rows
-            .fetch_add(rows, Ordering::SeqCst);
-        let tx = slots[i].tx.as_ref().expect("filtered on tx.is_some");
+        let shared = &slots[i].shared;
+        shared.in_flight_rows.fetch_add(rows, Ordering::SeqCst);
+        let tx = slots[i].tx.as_ref().expect("least_loaded filters on tx");
         match tx.send(SlotMsg::Job(job)) {
             Ok(()) => return,
             Err(mpsc::SendError(SlotMsg::Job(bounced))) => {
                 // The worker thread is gone (died between our liveness check
                 // and the send): mark it and try the next slot.
-                slots[i]
-                    .shared
-                    .in_flight_rows
-                    .fetch_sub(rows, Ordering::SeqCst);
-                slots[i].shared.alive.store(false, Ordering::SeqCst);
+                shared.in_flight_rows.fetch_sub(rows, Ordering::SeqCst);
+                shared.alive.store(false, Ordering::SeqCst);
                 job = bounced;
                 job.attempts += 1;
+                chosen = least_loaded(slots, *rr_cursor);
             }
             Err(_) => unreachable!("send returns what it was given"),
         }
@@ -1401,7 +1380,7 @@ fn drain_on_shutdown(
         match msg {
             SchedMsg::Request(r) => reject(r),
             SchedMsg::Retry(job) => job.fail(&ServeError::ShuttingDown, metrics),
-            SchedMsg::Done => {}
+            SchedMsg::Done | SchedMsg::Shutdown => {}
         }
     }
 }

@@ -1,7 +1,8 @@
 //! End-to-end properties of the batched serving layer (`fluid-serve`):
-//! batching never changes answers, backpressure sheds explicitly, and a
-//! worker lost under live traffic degrades capacity instead of killing the
-//! service — with reattach restoring it.
+//! batching never changes answers, a batch leaves when a worker can take it
+//! (and fills while none can), backpressure sheds explicitly, and a worker
+//! lost under live traffic degrades capacity instead of killing the service
+//! — with reattach restoring it.
 
 use fluid_dist::{spawn_ha_pair, DistError, SpawnedPair};
 use fluid_models::{Arch, FluidModel};
@@ -9,7 +10,8 @@ use fluid_serve::{
     loadgen, Backend, EngineBackend, MasterBackend, ServeConfig, ServeError, Server,
 };
 use fluid_tensor::{Prng, Tensor};
-use std::time::Duration;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::time::{Duration, Instant};
 
 fn model(seed: u64) -> FluidModel {
     FluidModel::new(Arch::tiny_28(), &mut Prng::new(seed))
@@ -231,5 +233,126 @@ fn loadgen_against_inproc_server_demonstrates_batching() {
         "loadgen produced no batching: mean {:.2} over {} batches",
         metrics.mean_batch_requests,
         metrics.batches
+    );
+}
+
+/// A backend the test holds busy: `infer_batch` reports its row count, then
+/// blocks until the test sends one release. Every interleaving below is
+/// forced through these two channels, none by sleeping.
+struct GateBackend {
+    entered: Sender<usize>,
+    release: Receiver<()>,
+}
+
+impl Backend for GateBackend {
+    fn name(&self) -> &str {
+        "gate"
+    }
+    fn input_dims(&self) -> [usize; 3] {
+        [1, 28, 28]
+    }
+    fn infer_batch(&mut self, x: &Tensor) -> Result<Tensor, DistError> {
+        let rows = x.dims()[0];
+        self.entered.send(rows).map_err(|_| DistError::WorkerDown)?;
+        self.release.recv().map_err(|_| DistError::WorkerDown)?;
+        Ok(Tensor::zeros(&[rows, 10]))
+    }
+}
+
+/// A one-worker server over a [`GateBackend`], `max_batch` 8: the server,
+/// the stream of batch sizes entering the worker, and the release switch.
+fn gated_server(max_wait: Duration) -> (Server, Receiver<usize>, Sender<()>) {
+    let (entered, batches) = channel();
+    let (gate, release) = channel();
+    let mut cfg = ServeConfig::default();
+    cfg.max_batch = 8;
+    cfg.max_wait = max_wait;
+    let backend = Box::new(GateBackend { entered, release });
+    let server = Server::start(cfg, vec![backend]).expect("start");
+    (server, batches, gate)
+}
+
+/// How long a test waits for something that must happen.
+const SOON: Duration = Duration::from_secs(10);
+
+#[test]
+fn a_lone_request_on_an_idle_server_does_not_wait_out_max_wait() {
+    let (server, _batches, gate) = gated_server(Duration::from_millis(500));
+    gate.send(()).expect("pre-open the gate");
+    let t0 = Instant::now();
+    server.handle().infer(input(0)).expect("served");
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(50),
+        "an idle worker was left waiting: {took:?} against a 500 ms max_wait"
+    );
+}
+
+#[test]
+fn requests_behind_a_busy_worker_leave_as_one_batch_when_it_frees_up() {
+    // max_wait is out of reach, so only the worker's `Done` can end the wait.
+    let (server, batches, gate) = gated_server(Duration::from_secs(60));
+    let handle = server.handle();
+    let first = handle.submit(input(0)).expect("submit");
+    assert_eq!(batches.recv_timeout(SOON), Ok(1), "idle worker: go now");
+    // The only worker is held inside batch 1: these seven must coalesce.
+    let rest: Vec<_> = (1..8)
+        .map(|k| handle.submit(input(k)).expect("submit"))
+        .collect();
+    gate.send(()).expect("release batch 1");
+    assert_eq!(batches.recv_timeout(SOON), Ok(7), "batching under load");
+    gate.send(()).expect("release batch 2");
+    for t in std::iter::once(first).chain(rest) {
+        t.wait().expect("served");
+    }
+    assert_eq!(server.shutdown().batch_histogram, vec![(1, 1), (7, 1)]);
+}
+
+#[test]
+fn max_wait_still_caps_the_wait_behind_a_busy_worker() {
+    let max_wait = Duration::from_millis(50);
+    let (server, batches, gate) = gated_server(max_wait);
+    let (handle, elastic) = (server.handle(), server.elastic());
+    let first = handle.submit(input(0)).expect("submit");
+    assert_eq!(batches.recv_timeout(SOON), Ok(1));
+    // The worker stays held past max_wait: at the deadline — not before —
+    // the waiting rows are frozen into its one lookahead batch. (Multi-row
+    // requests, so a stalled test thread cannot split either arrival.)
+    let rows = |n: usize| Tensor::zeros(&[n, 1, 28, 28]);
+    let t0 = Instant::now();
+    let second = handle.submit(rows(3)).expect("submit");
+    while elastic.in_flight_rows(0).expect("slot 0") < 4 {
+        assert!(t0.elapsed() < SOON, "the deadline never dispatched");
+        std::thread::yield_now();
+    }
+    assert!(t0.elapsed() >= max_wait, "left before its deadline");
+    // A later arrival cannot board the frozen batch; it forms the next one.
+    let third = handle.submit(rows(2)).expect("submit");
+    for expect in [3, 2] {
+        gate.send(()).expect("release");
+        assert_eq!(batches.recv_timeout(SOON), Ok(expect));
+    }
+    gate.send(()).expect("release the last batch");
+    for t in [first, second, third] {
+        t.wait().expect("served");
+    }
+}
+
+#[test]
+fn dropping_an_idle_server_does_not_wait_for_a_poll_tick() {
+    // The scheduler used to notice shutdown on a 25 ms poll (12.5 ms a drop
+    // on average); now a message wakes it. Ten idle drops fit in one tick.
+    let m = model(31);
+    let mut dropping = Duration::ZERO;
+    for _ in 0..10 {
+        let backends = vec![engine_backend("m0", &m)];
+        let server = Server::start(ServeConfig::default(), backends).expect("start");
+        let t0 = Instant::now();
+        drop(server);
+        dropping += t0.elapsed();
+    }
+    assert!(
+        dropping < Duration::from_millis(25),
+        "ten idle drops took {dropping:?}"
     );
 }
