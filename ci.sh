@@ -133,6 +133,21 @@ stage_tests() {
     # fluid-tensor owns every dispatched kernel and its bit-identity
     # proptests; the rest of the workspace only sees the dispatch result.
     FLUID_FORCE_SCALAR=1 cargo test -q -p fluid-tensor
+    # fluidbench (benchmark/) is a package of its own that the workspace
+    # build never touches: build it, run its unit tests, and smoke two
+    # workloads for 2 s each, so an API change that breaks
+    # benchmark/src/sut.rs fails here rather than in the benchmark run.
+    cargo build --release --manifest-path benchmark/Cargo.toml
+    cargo test -q --release --manifest-path benchmark/Cargo.toml
+    local workload result
+    for workload in pair_ha cluster_closed_b1; do
+        result=$(cargo run --release -q --manifest-path benchmark/Cargo.toml -- \
+            --workload "$workload" --seed 7 --seconds 2 --trace 0 | tail -n 1)
+        if [[ "$result" != '{"correct": true'* ]]; then
+            echo "fluidbench smoke $workload: no correct result line: $result"
+            return 1
+        fi
+    done
 }
 
 stage_drill() {

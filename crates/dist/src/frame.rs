@@ -61,8 +61,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
             format!("frame header claims {len} bytes (cap {MAX_FRAME_BYTES})"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // The header is only a claim: the payload buffer grows as bytes arrive.
+    let mut payload = Vec::new();
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame truncated at {} of {len} bytes", payload.len()),
+        ));
+    }
     Ok(payload)
 }
 
@@ -87,7 +94,8 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"payload").unwrap();
         buf.truncate(buf.len() - 2);
-        assert!(read_frame(&mut buf.as_slice()).is_err());
+        let err = read_frame(&mut buf.as_slice()).expect_err("must reject");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
@@ -95,5 +103,11 @@ mod tests {
         let buf = u32::MAX.to_le_bytes().to_vec();
         let err = read_frame(&mut buf.as_slice()).expect_err("must reject");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // Under the cap, a header that no payload follows is a truncation,
+        // not a 32 MiB buffer reserved on its word.
+        let mut buf = (32u32 << 20).to_le_bytes().to_vec();
+        buf.extend_from_slice(b"short");
+        let err = read_frame(&mut buf.as_slice()).expect_err("must reject");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 }

@@ -266,6 +266,16 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Room [`Message::encode`] reserves beyond the tensor bytes: a tensor
+/// frame's fixed fields (a tag and at most two `u64`s) fit, so it is
+/// written with one allocation. Frames of strings and lists may grow.
+const ENCODE_SLACK: usize = 64;
+
+/// Bytes [`put_tensor`] writes for `t`.
+fn tensor_len(t: &Tensor) -> usize {
+    4 * (1 + t.dims().len() + t.data().len())
+}
+
 fn put_tensor(out: &mut Vec<u8>, t: &Tensor) {
     put_u32(out, t.dims().len() as u32);
     for &d in t.dims() {
@@ -341,9 +351,10 @@ impl<'a> Cursor<'a> {
         if rank > MAX_TENSOR_RANK {
             return Err(DistError::Decode(format!("tensor rank {rank}")));
         }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(self.u32()? as usize);
+        let mut dims = [0usize; MAX_TENSOR_RANK];
+        let dims = &mut dims[..rank];
+        for d in dims.iter_mut() {
+            *d = self.u32()? as usize;
         }
         let numel = dims
             .iter()
@@ -362,7 +373,7 @@ impl<'a> Cursor<'a> {
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
             .collect();
-        Ok(Tensor::from_vec(data, &dims))
+        Ok(Tensor::from_vec(data, dims))
     }
 
     fn range(&mut self) -> Result<ChannelRange, DistError> {
@@ -417,7 +428,7 @@ impl Message {
     /// assert_eq!(decoded, msg);
     /// ```
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(ENCODE_SLACK + self.tensor_bytes());
         match self {
             Message::Hello { device } => {
                 out.push(TAG_HELLO);
@@ -539,6 +550,23 @@ impl Message {
             }
         }
         out
+    }
+
+    /// Encoded bytes of the tensors this message carries (with each
+    /// `DeployBranch` window's name), so [`encode`](Message::encode) sizes
+    /// its output once.
+    fn tensor_bytes(&self) -> usize {
+        match self {
+            Message::Infer { input: t, .. }
+            | Message::Logits { logits: t, .. }
+            | Message::InferKeyed { input: t, .. }
+            | Message::InferTenant { input: t, .. } => tensor_len(t),
+            Message::DeployBranch { weights, .. } => weights
+                .iter()
+                .map(|w| 4 + w.name.len() + tensor_len(&w.tensor))
+                .sum(),
+            _ => 0,
+        }
     }
 
     /// Parses a frame payload produced by [`Message::encode`].

@@ -80,22 +80,37 @@ pub struct Calibration {
     pub branches: Vec<BranchCalibration>,
 }
 
+/// Rows per calibration forward: a serving batch's scale (the default
+/// serving `max_batch` is 8, the benchmarked bursts use 16).
+const CALIBRATION_CHUNK: usize = 16;
+
 /// Runs the f32 sub-network on `batch` (a held-out calibration batch,
 /// `[N, image_channels, side, side]`) and records one symmetric
 /// per-tensor scale per quantization surface.
+///
+/// The batch is walked in chunks of at most 16 rows and the per-surface
+/// maxima merged: `max` is exact and the forward is batch-invariant, so the
+/// scales equal those of one pass over the whole batch, while the net's
+/// workspace stays sized for a 16-row forward.
 ///
 /// # Panics
 ///
 /// Panics if the batch shape does not match the architecture.
 pub fn calibrate(net: &mut ConvNet, spec: &SubnetSpec, batch: &Tensor) -> Calibration {
     let stages = net.arch().conv_stages;
+    let mut chunk_dims = batch.dims().to_vec();
+    let row_len = batch.data().len() / chunk_dims[0].max(1);
     let mut branches = Vec::with_capacity(spec.branches.len());
     for branch in &spec.branches {
         let mut maxima = vec![0.0f32; stages + 1];
-        let logits = net.forward_branch_observed(batch, branch, &mut |surface, t| {
-            maxima[surface] = maxima[surface].max(max_abs(t.data()));
-        });
-        net.recycle(logits);
+        for rows in batch.data().chunks(CALIBRATION_CHUNK * row_len.max(1)) {
+            chunk_dims[0] = rows.len() / row_len;
+            let chunk = Tensor::from_vec(rows.to_vec(), &chunk_dims);
+            let logits = net.forward_branch_observed(&chunk, branch, &mut |surface, t| {
+                maxima[surface] = maxima[surface].max(max_abs(t.data()));
+            });
+            net.recycle(logits);
+        }
         branches.push(BranchCalibration {
             conv_scales: maxima[..stages]
                 .iter()
@@ -323,6 +338,43 @@ mod tests {
         assert_eq!(bc.conv_scales.len(), arch.conv_stages);
         assert!(bc.conv_scales.iter().all(|&s| s > 0.0 && s.is_finite()));
         assert!(bc.fc_scale > 0.0);
+    }
+
+    #[test]
+    fn chunked_calibration_matches_one_pass_and_bounds_the_workspace() {
+        let arch = Arch::tiny();
+        let net = ConvNet::new(arch.clone(), &mut Prng::new(9));
+        let spec = full_spec(&arch);
+        let rows = batch(&arch, 64, 4);
+
+        let mut chunked = net.clone();
+        let calib = calibrate(&mut chunked, &spec, &rows);
+        let mut maxima = vec![0.0f32; arch.conv_stages + 1];
+        net.clone()
+            .forward_branch_observed(&rows, &spec.branches[0], &mut |surface, t| {
+                maxima[surface] = maxima[surface].max(max_abs(t.data()));
+            });
+        let bc = &calib.branches[0];
+        let got: Vec<u32> = bc
+            .conv_scales
+            .iter()
+            .chain([&bc.fc_scale])
+            .map(|s| s.to_bits())
+            .collect();
+        let want: Vec<u32> = maxima
+            .iter()
+            .map(|&m| symmetric_scale(m).to_bits())
+            .collect();
+        assert_eq!(got, want, "chunked scales differ from one pass");
+
+        let mut small = net.clone();
+        calibrate(&mut small, &spec, &batch(&arch, 16, 4));
+        assert!(
+            chunked.workspace_bytes() <= small.workspace_bytes(),
+            "64 rows left {} workspace bytes, 16 rows {}",
+            chunked.workspace_bytes(),
+            small.workspace_bytes()
+        );
     }
 
     #[test]

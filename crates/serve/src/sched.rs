@@ -598,7 +598,10 @@ mod tests {
         /// advances against a model pool that only ever moves when
         /// `next_step` says so: a batch never leaves into saturated workers,
         /// never waits while a worker is idle, and every wait is the right
-        /// one for the state.
+        /// one for the state. The scheduler re-decides only when woken: by
+        /// every arrival, by a completion only while rows are queued (the
+        /// worker's `Done` rule), and by the clock only while it waits on a
+        /// deadline, which it does only with rows queued.
         fn batches_never_enter_saturation_and_never_wait_on_an_idle_worker(
             max_batch in 1usize..=8,
             workers in 0usize..=3,
@@ -609,20 +612,34 @@ mod tests {
             let mut pool: Vec<VecDeque<usize>> = vec![VecDeque::new(); workers];
             let mut queued = 0usize;
             let mut waited = Duration::ZERO; // age of the oldest queued row
+            let in_flight = |w: &VecDeque<usize>| w.iter().sum::<usize>();
             for (kind, arg) in events {
-                match kind {
+                let woken = match kind {
                     0 => {
                         if queued == 0 {
                             waited = Duration::ZERO;
                         }
                         queued += 1 + arg % max_batch;
+                        true
                     }
-                    1 if workers > 0 => drop(pool[arg % workers].pop_front()),
-                    1 => {}
-                    _ => waited += Duration::from_millis(arg as u64 % 8),
+                    1 if workers > 0 => {
+                        pool[arg % workers].pop_front();
+                        queued > 0
+                    }
+                    1 => false,
+                    _ => {
+                        waited += Duration::from_millis(arg as u64 % 8);
+                        queued > 0
+                    }
+                };
+                if !woken {
+                    // Asleep, the scheduler still never holds rows an idle
+                    // worker could take.
+                    let least = pool.iter().map(in_flight).min();
+                    proptest::prop_assert!(queued == 0 || least != Some(0));
+                    continue;
                 }
                 loop {
-                    let in_flight = |w: &VecDeque<usize>| w.iter().sum::<usize>();
                     let least = pool.iter().map(in_flight).min();
                     let saturated = least.is_some_and(|rows| rows >= 2 * max_batch);
                     let left = max_wait.saturating_sub(waited);

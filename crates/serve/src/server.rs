@@ -212,10 +212,12 @@ enum SchedMsg {
     /// A batch bounced off a dying worker; re-dispatch it ahead of the
     /// queue (its requests have already waited once).
     Retry(Job),
-    /// A worker finished a batch (its `in_flight_rows` already dropped).
-    /// Pure wake-up: capacity freed, so a batch waiting on busy workers
-    /// may leave now and a paced scheduler re-evaluates immediately
-    /// instead of sleeping out its timeout.
+    /// A worker finished a batch (its `in_flight_rows` already dropped)
+    /// while rows were queued. Pure wake-up: capacity freed, so a batch
+    /// waiting on busy workers may leave now and a paced scheduler
+    /// re-evaluates immediately instead of sleeping out its timeout. With
+    /// nothing queued it is not sent: the scheduler would only decide to
+    /// wait again.
     Done,
     /// [`Server::stop`]: shed everything still queued and exit.
     Shutdown,
@@ -270,9 +272,13 @@ impl TenantTable {
     }
 }
 
-/// Client-side state shared by every [`ServerHandle`] clone.
+/// State shared by every [`ServerHandle`] clone, the scheduler and the
+/// worker slots.
 struct HandleShared {
     depth: Arc<AtomicUsize>,
+    /// Rows the scheduler holds queued, published for the workers: a
+    /// finished batch wakes the scheduler only when this is non-zero.
+    queued_rows: AtomicUsize,
     shutdown: AtomicBool,
     cfg: ServeConfig,
     dims: [usize; 3],
@@ -462,7 +468,6 @@ impl ServerHandle {
 /// ```
 pub struct Server {
     handle: ServerHandle,
-    sched_tx: Sender<SchedMsg>,
     scheduler: Option<JoinHandle<()>>,
     slots: Arc<Mutex<Vec<Slot>>>,
     metrics: Arc<MetricsHub>,
@@ -523,38 +528,34 @@ impl Server {
             }),
         ));
         let (sched_tx, sched_rx) = mpsc::channel::<SchedMsg>();
+        let handle = ServerHandle {
+            tx: sched_tx,
+            shared: Arc::new(HandleShared {
+                depth: Arc::new(AtomicUsize::new(0)),
+                queued_rows: AtomicUsize::new(0),
+                shutdown: AtomicBool::new(false),
+                cfg: cfg.clone(),
+                dims,
+                metrics: Arc::clone(&metrics),
+                tenants: cfg.tenancy.as_ref().map(TenantTable::new),
+            }),
+        };
 
         let slots: Vec<Slot> = backends
             .into_iter()
             .enumerate()
-            .map(|(i, backend)| spawn_slot(i, backend, &sched_tx, &metrics))
+            .map(|(i, backend)| spawn_slot(i, backend, &handle))
             .collect();
         let slots = Arc::new(Mutex::new(slots));
 
-        let handle_shared = Arc::new(HandleShared {
-            depth: Arc::new(AtomicUsize::new(0)),
-            shutdown: AtomicBool::new(false),
-            cfg: cfg.clone(),
-            dims,
-            metrics: Arc::clone(&metrics),
-            tenants: cfg.tenancy.as_ref().map(TenantTable::new),
-        });
-        let handle = ServerHandle {
-            tx: sched_tx.clone(),
-            shared: Arc::clone(&handle_shared),
-        };
-
         let scheduler = {
             let slots = Arc::clone(&slots);
-            let metrics = Arc::clone(&metrics);
-            std::thread::spawn(move || {
-                scheduler_loop(&sched_rx, &slots, &cfg, dims, &metrics);
-            })
+            let shared = Arc::clone(&handle.shared);
+            std::thread::spawn(move || scheduler_loop(&sched_rx, &slots, &shared))
         };
 
         Ok(Server {
             handle,
-            sched_tx,
             scheduler: Some(scheduler),
             slots,
             metrics,
@@ -636,7 +637,7 @@ impl Server {
             let _ = t.join();
         }
         let mut slots = lock_slots(&self.slots);
-        slots[index] = spawn_slot(index, backend, &self.sched_tx, &self.metrics);
+        slots[index] = spawn_slot(index, backend, &self.handle);
         self.metrics.record_reattach(index, name);
         Ok(())
     }
@@ -653,7 +654,7 @@ impl Server {
         // The flag is `submit`'s (and `ElasticHandle::add`'s) fast refusal;
         // the message is what wakes the scheduler, wherever it is blocked.
         self.handle.shared.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.sched_tx.send(SchedMsg::Shutdown);
+        let _ = self.handle.tx.send(SchedMsg::Shutdown);
         if let Some(t) = self.scheduler.take() {
             let _ = t.join();
         }
@@ -830,7 +831,7 @@ impl ElasticHandle {
     fn add_locked(&self, slots: &mut Vec<Slot>, backend: Box<dyn Backend>) -> usize {
         let index = slots.len();
         self.metrics.record_added(backend.name().to_owned());
-        slots.push(spawn_slot(index, backend, &self.handle.tx, &self.metrics));
+        slots.push(spawn_slot(index, backend, &self.handle));
         index
     }
 
@@ -1034,12 +1035,7 @@ fn least_loaded(slots: &[Slot], rr_cursor: usize) -> Option<(usize, usize)> {
         .min_by_key(|&(_, rows)| rows)
 }
 
-fn spawn_slot(
-    index: usize,
-    backend: Box<dyn Backend>,
-    sched_tx: &Sender<SchedMsg>,
-    metrics: &Arc<MetricsHub>,
-) -> Slot {
+fn spawn_slot(index: usize, backend: Box<dyn Backend>, server: &ServerHandle) -> Slot {
     let (tx, rx) = mpsc::channel::<SlotMsg>();
     let shared = Arc::new(SlotShared {
         alive: AtomicBool::new(true),
@@ -1048,9 +1044,8 @@ fn spawn_slot(
     });
     let thread = {
         let shared = Arc::clone(&shared);
-        let retry_tx = sched_tx.clone();
-        let metrics = Arc::clone(metrics);
-        std::thread::spawn(move || worker_loop(index, backend, rx, &shared, retry_tx, &metrics))
+        let server = server.clone();
+        std::thread::spawn(move || worker_loop(index, backend, rx, &shared, &server))
     };
     Slot {
         tx: Some(tx),
@@ -1064,9 +1059,9 @@ fn worker_loop(
     mut backend: Box<dyn Backend>,
     rx: Receiver<SlotMsg>,
     shared: &SlotShared,
-    retry_tx: Sender<SchedMsg>,
-    metrics: &MetricsHub,
+    server: &ServerHandle,
 ) {
+    let (retry_tx, metrics) = (&server.tx, &*server.shared.metrics);
     // After a backend failure the thread *parks* instead of exiting:
     // anything still queued on (or racing into) this slot's channel is
     // bounced back to the scheduler rather than dropped, so no request is
@@ -1082,14 +1077,19 @@ fn worker_loop(
         let rows = job.rows();
         if dead {
             shared.in_flight_rows.fetch_sub(rows, Ordering::SeqCst);
-            bounce(job, &retry_tx, metrics, "dispatched to a dead worker");
+            bounce(job, retry_tx, metrics, "dispatched to a dead worker");
             continue;
         }
         let result = backend.infer_batch(&job.input);
         shared.in_flight_rows.fetch_sub(rows, Ordering::SeqCst);
-        // Wake a pacing scheduler the moment capacity frees up (a closed
-        // send just means the scheduler is gone — nothing to wake).
-        let _ = retry_tx.send(SchedMsg::Done);
+        // Wake the scheduler the moment capacity frees up, but only if rows
+        // wait for it. Both sides are `SeqCst`: either this load sees the
+        // rows `Scheduler::step` saw queued, or that step's read of the slot
+        // table saw this worker idle and dispatched without a wake-up. (A
+        // closed send just means the scheduler is gone.)
+        if server.shared.queued_rows.load(Ordering::SeqCst) > 0 {
+            let _ = retry_tx.send(SchedMsg::Done);
+        }
         let logits = match result {
             Ok(logits) if logits.dims().len() == 2 && logits.dims()[0] == rows => logits,
             Ok(bad) => {
@@ -1099,14 +1099,14 @@ fn worker_loop(
                 shared.alive.store(false, Ordering::SeqCst);
                 metrics.record_worker_death(index);
                 let why = format!("backend returned logits {:?} for {} rows", bad.dims(), rows);
-                bounce(job, &retry_tx, metrics, &why);
+                bounce(job, retry_tx, metrics, &why);
                 continue;
             }
             Err(e) => {
                 dead = true;
                 shared.alive.store(false, Ordering::SeqCst);
                 metrics.record_worker_death(index);
-                bounce(job, &retry_tx, metrics, &e.to_string());
+                bounce(job, retry_tx, metrics, &e.to_string());
                 continue;
             }
         };
@@ -1153,7 +1153,8 @@ struct Scheduler<'a> {
     /// queue whose DRR credit covers a full batch — the assembly then
     /// degenerates to the classic FIFO coalescing.
     queues: Vec<VecDeque<Request>>,
-    queued_rows: usize,
+    /// Rows across `queues`, published to the workers (`HandleShared`).
+    queued_rows: &'a AtomicUsize,
     /// The DRR ring, interactive tenants first: their rows board a forming
     /// batch before batch-class rows.
     order: Vec<usize>,
@@ -1164,12 +1165,8 @@ struct Scheduler<'a> {
 }
 
 impl<'a> Scheduler<'a> {
-    fn new(
-        slots: &'a Mutex<Vec<Slot>>,
-        cfg: &'a ServeConfig,
-        dims: [usize; 3],
-        metrics: &'a MetricsHub,
-    ) -> Self {
+    fn new(slots: &'a Mutex<Vec<Slot>>, shared: &'a HandleShared) -> Self {
+        let cfg = &shared.cfg;
         let (order, weights) = match &cfg.tenancy {
             Some(t) => {
                 let mut order: Vec<usize> = (0..t.tenants.len()).collect();
@@ -1187,10 +1184,10 @@ impl<'a> Scheduler<'a> {
         Scheduler {
             slots,
             cfg,
-            dims,
-            metrics,
+            dims: shared.dims,
+            metrics: &shared.metrics,
             queues: order.iter().map(|_| VecDeque::new()).collect(),
-            queued_rows: 0,
+            queued_rows: &shared.queued_rows,
             drr: DrrState::new(order.len()),
             order,
             weights,
@@ -1203,7 +1200,7 @@ impl<'a> Scheduler<'a> {
     fn ingest(&mut self, msg: SchedMsg) -> ControlFlow<()> {
         match msg {
             SchedMsg::Request(r) => {
-                self.queued_rows += r.rows;
+                self.queued_rows.fetch_add(r.rows, Ordering::SeqCst);
                 self.queues[r.tenant].push_back(r);
             }
             SchedMsg::Retry(job) => {
@@ -1239,7 +1236,7 @@ impl<'a> Scheduler<'a> {
                 (oldest + self.cfg.max_wait).saturating_duration_since(Instant::now())
             });
         let step = next_step(
-            self.queued_rows,
+            self.queued_rows.load(Ordering::SeqCst),
             self.cfg.max_batch,
             chosen.map(|(_, rows)| rows),
             until_deadline,
@@ -1263,7 +1260,7 @@ impl<'a> Scheduler<'a> {
             |r| r.rows,
             &mut self.staged,
         );
-        self.queued_rows -= rows;
+        self.queued_rows.fetch_sub(rows, Ordering::SeqCst);
         let mut parts = Vec::with_capacity(self.staged.len());
         let mut data =
             Vec::with_capacity(self.staged.iter().map(|(_, r)| r.input.data().len()).sum());
@@ -1286,14 +1283,8 @@ impl<'a> Scheduler<'a> {
     }
 }
 
-fn scheduler_loop(
-    rx: &Receiver<SchedMsg>,
-    slots: &Mutex<Vec<Slot>>,
-    cfg: &ServeConfig,
-    dims: [usize; 3],
-    metrics: &MetricsHub,
-) {
-    let mut sched = Scheduler::new(slots, cfg, dims, metrics);
+fn scheduler_loop(rx: &Receiver<SchedMsg>, slots: &Mutex<Vec<Slot>>, shared: &HandleShared) {
+    let mut sched = Scheduler::new(slots, shared);
     'serve: loop {
         // The one blocking receive, for as long as the state allows: forever
         // with nothing queued, to the batch deadline while a batch waits on
@@ -1318,7 +1309,7 @@ fn scheduler_loop(
             next = rx.try_recv().ok();
         }
     }
-    drain_on_shutdown(rx, &mut sched.queues, metrics);
+    drain_on_shutdown(rx, &mut sched.queues, &shared.metrics);
 }
 
 /// Sends one batch to slot `chosen` (the scheduler's [`least_loaded`] pick,

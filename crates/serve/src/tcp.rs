@@ -13,7 +13,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How often connection threads and the accept loop poll for shutdown.
+/// How often connection threads and the accept loop poll for shutdown. An
+/// idle connection's poll is one `recv_timeout` that expires having read
+/// nothing; past the connection's first read it allocates and zeroes
+/// nothing.
 const POLL: Duration = Duration::from_millis(100);
 
 /// Serves the batching instance behind `handle` over TCP until `shutdown`
