@@ -31,6 +31,13 @@
 # wall-clock budget so a routing, gossip or shard-rebuild hang fails
 # loudly instead of stalling the pipeline.
 #
+# The doc stage also runs a ratchet on unused public surface: it lists
+# every `pub fn` in fluid-tensor and fluid-nn whose name no *.rs file
+# outside the defining crate's src/ mentions (other crates, the crate's
+# own tests/, benchmark/, examples/, tests/) and compares the list with
+# unused-pub.allow. A new unused name fails, and so does an allow-listed
+# name that is now used or gone, so the list can only shrink.
+#
 # The bench stage is a perf regression gate: it re-runs
 # `bench_kernels --quick` and fails if any committed timing metric in
 # BENCH_kernels.json regressed by more than BENCH_TOLERANCE (default
@@ -80,10 +87,24 @@ stage_clippy() {
     cargo clippy --all-targets -- -D warnings
 }
 
+# Prints "crate name" for each `pub fn` of fluid-tensor and fluid-nn that
+# no *.rs file outside the defining crate's src/ names.
+unused_pub_fns() {
+    local crate name files
+    for crate in tensor nn; do
+        files=$(find . -name '*.rs' -not -path './target/*' -not -path './benchmark/target/*' \
+            -not -path './.bench_build/*' -not -path "./crates/$crate/src/*")
+        for name in $(grep -rhoE '\bpub fn [A-Za-z0-9_]+' "crates/$crate/src" | awk '{print $3}' | sort -u); do
+            # shellcheck disable=SC2086 # one argument per file
+            grep -qw -- "$name" $files || echo "$crate $name"
+        done
+    done
+}
+
 stage_doc() {
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
     # Compiled doc-examples are part of the API surface (TensorView's
-    # transpose/slice/broadcast examples, the serve metrics example, ...):
+    # transpose and matmul examples, the serve metrics example, ...):
     # run them here so a stale snippet fails the doc stage, not just the
     # full test sweep.
     echo "==> doc-tests (compiled API examples)"
@@ -117,6 +138,17 @@ stage_doc() {
             missing=1
         fi
     done
+    echo "==> unused pub fn ratchet (fluid-tensor, fluid-nn vs unused-pub.allow)"
+    local drift
+    drift=$(diff <(unused_pub_fns | LC_ALL=C sort) \
+        <(grep -v '^#' unused-pub.allow | LC_ALL=C sort) || true)
+    if [ -n "$drift" ]; then
+        echo "UNUSED PUB FN drift. '<': a new unused pub fn (use it, make it"
+        echo "pub(crate) or delete it); '>': an allow-listed name that is now used"
+        echo "or gone (drop its line from unused-pub.allow):"
+        echo "$drift"
+        missing=1
+    fi
     [ "$missing" -eq 0 ]
 }
 
@@ -131,8 +163,11 @@ stage_tests() {
     # so the fallback every dispatch decision must match stays green on
     # hosts where AVX2/NEON would otherwise mask a scalar regression.
     # fluid-tensor owns every dispatched kernel and its bit-identity
-    # proptests; the rest of the workspace only sees the dispatch result.
+    # proptests; the rest of the workspace only sees the dispatch result,
+    # which the golden digests (seeded logits and trained weights) pin to
+    # the same bits on both legs.
     FLUID_FORCE_SCALAR=1 cargo test -q -p fluid-tensor
+    FLUID_FORCE_SCALAR=1 cargo test -q -p fluid-integration-tests --test golden
     # fluidbench (benchmark/) is a package of its own that the workspace
     # build never touches: build it, run its unit tests, and smoke two
     # workloads for 2 s each, so an API change that breaks

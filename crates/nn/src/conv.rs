@@ -323,7 +323,8 @@ impl RangedConv2d {
             d
         );
         let g_mat = nchw_to_cnp(grad_out, ws); // [out_w, N*P]
-                                               // dW = g · patchesᵀ (implicit GEMM over the cached input)
+
+        // dW = g · patchesᵀ (implicit GEMM over the cached input)
         let patches = PatchMatrix::new(input.data(), batch, in_range.width(), geo);
         let wg = conv_gemm_dw_ws(&g_mat, &patches, ws);
         self.scatter_wgrad(&wg, in_range, out_range);
@@ -380,11 +381,6 @@ impl RangedConv2d {
     /// Mutable access to the accumulated bias gradient.
     pub fn bgrad_mut(&mut self) -> &mut Tensor {
         &mut self.bgrad
-    }
-
-    /// Number of parameters in a `(in_range, out_range)` window, bias included.
-    pub fn window_param_count(&self, in_range: ChannelRange, out_range: ChannelRange) -> usize {
-        out_range.width() * in_range.width() * self.kernel * self.kernel + out_range.width()
     }
 
     /// Multiply-accumulate count for one image of `h`×`w` input through the

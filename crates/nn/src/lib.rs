@@ -35,7 +35,6 @@ mod activation;
 mod conv;
 mod flatten;
 mod gradcheck;
-mod layernorm;
 mod linear;
 mod loss;
 mod optim;
@@ -49,7 +48,6 @@ pub use conv::RangedConv2d;
 pub use flatten::Flatten;
 pub use fluid_tensor::Workspace;
 pub use gradcheck::{finite_diff_gradient, max_relative_error};
-pub use layernorm::LayerNorm;
 pub use linear::RangedLinear;
 pub use loss::{accuracy, softmax_cross_entropy, softmax_cross_entropy_ws};
 pub use optim::{Adam, Optimizer, ParamSet, Sgd};

@@ -148,11 +148,11 @@ impl RangedLinear {
         let mut y = x.view().matmul_ws(&wmat.view().t(), ws); // [N, out]
         ws.recycle(wmat);
         if with_bias {
-            // Broadcast in-place add: [out] repeats over the batch rows
-            // with stride 0. One add per element, so bit-identical to the
-            // old hand-rolled row loop at any thread count.
-            y.add_assign_broadcast(&self.bias.view())
-                .expect("bias [out] broadcasts over [N, out]");
+            for row in y.data_mut().chunks_exact_mut(self.out_features) {
+                for (v, &b) in row.iter_mut().zip(self.bias.data()) {
+                    *v += b;
+                }
+            }
         }
         if train {
             self.cache.push(LinearCache {
@@ -249,16 +249,6 @@ impl RangedLinear {
     pub fn bgrad_mut(&mut self) -> &mut Tensor {
         &mut self.bgrad
     }
-
-    /// Parameter count for a column window, bias included when `with_bias`.
-    pub fn window_param_count(&self, in_range: ChannelRange, with_bias: bool) -> usize {
-        self.out_features * in_range.width() + if with_bias { self.out_features } else { 0 }
-    }
-
-    /// MAC count per image for a column window.
-    pub fn window_macs(&self, in_range: ChannelRange) -> u64 {
-        (self.out_features * in_range.width()) as u64
-    }
 }
 
 #[cfg(test)]
@@ -307,6 +297,52 @@ mod tests {
         let without = fc.forward(&x, ChannelRange::new(2, 4), false, false);
         assert_eq!(with.data(), &[1.0, 2.0, 3.0]);
         assert_eq!(without.data(), &[0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn bias_is_added_once_to_every_batch_row() {
+        let mut rng = Prng::new(6);
+        let mut fc = RangedLinear::new(4, 6, &mut rng);
+        fc.bias_mut()
+            .data_mut()
+            .copy_from_slice(&[0.5, -1.0, 2.0, 0.25]);
+        let x = Tensor::from_fn(&[3, 6], |i| (i as f32 * 0.21).sin());
+        let r = ChannelRange::prefix(6);
+        let with = fc.forward(&x, r, true, false);
+        let without = fc.forward(&x, r, false, false);
+        for (i, (w, o)) in with.data().iter().zip(without.data()).enumerate() {
+            assert_eq!(*w, o + fc.bias.data()[i % 4], "element {i}");
+        }
+    }
+
+    #[test]
+    fn batched_rows_equal_single_row_forwards() {
+        // The serving batching invariant through the FC layer, bias included.
+        let mut rng = Prng::new(7);
+        let mut fc = RangedLinear::new(5, 9, &mut rng);
+        fc.bias_mut()
+            .data_mut()
+            .copy_from_slice(&[0.1, 0.2, 0.3, 0.4, 0.5]);
+        let x = Tensor::from_fn(&[4, 9], |i| (i as f32 * 0.13).cos());
+        let r = ChannelRange::prefix(9);
+        let batched = fc.forward(&x, r, true, false);
+        for i in 0..4 {
+            let alone = fc.forward(&x.slice_rows(i, i + 1), r, true, false);
+            assert_eq!(alone.data(), batched.row(i), "row {i}");
+        }
+    }
+
+    #[test]
+    fn empty_batch_forward_is_empty() {
+        let mut rng = Prng::new(8);
+        let mut fc = RangedLinear::new(3, 4, &mut rng);
+        let y = fc.forward(
+            &Tensor::zeros(&[0, 4]),
+            ChannelRange::prefix(4),
+            true,
+            false,
+        );
+        assert_eq!(y.dims(), &[0, 3]);
     }
 
     #[test]

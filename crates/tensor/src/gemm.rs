@@ -8,9 +8,8 @@
 //! fallback everywhere else or under `FLUID_FORCE_SCALAR=1`). One engine
 //! serves every operand layout: both sides are packed through arbitrary
 //! row/column strides ([`AccessA`]/[`AccessB::Strided`]), so dense
-//! matrices, transposed or sliced [`crate::TensorView`]s, stride-0
-//! broadcast rows, and the implicit-`im2col` patch matrix used by
-//! convolution all inherit the same performance and the same determinism
+//! matrices, transposed [`crate::TensorView`]s, and the
+//! implicit-`im2col` patch matrix used by convolution all inherit the same performance and the same determinism
 //! argument. (The old `matmul_at`/`matmul_bt` entry points are gone —
 //! a transposed view *is* the strided layout they special-cased.)
 //!
@@ -80,8 +79,8 @@ pub const NC: usize = 1024;
 
 /// How the engine reads the left operand `A[i, p]` (`m × k` logically):
 /// a base slice plus arbitrary row/column strides, so row-major storage
-/// (`rs = k, cs = 1`), a transposed view (`rs = 1, cs = m`), a sliced
-/// window, or a stride-0 broadcast row all pack through one gather.
+/// (`rs = k, cs = 1`) and a transposed view (`rs = 1, cs = m`) pack
+/// through one gather.
 #[derive(Clone, Copy)]
 pub(crate) struct AccessA<'a> {
     data: &'a [f32],
@@ -290,8 +289,8 @@ fn compute_panel(
 /// edge panels run the full microkernel and discard the dead lanes.
 ///
 /// One gather covers every layout: logical element `A[i, p]` lives at
-/// `data[i*rs + p*cs]`, so row-major, transposed, sliced, and stride-0
-/// broadcast views differ only in the two stride constants.
+/// `data[i*rs + p*cs]`, so row-major and transposed views differ only in
+/// the two stride constants.
 fn pack_a_panel(a: AccessA<'_>, m: usize, i0: usize, pc: usize, kc: usize, dst: &mut [f32]) {
     let AccessA { data, rs, cs } = a;
     if i0 + MR <= m {

@@ -82,25 +82,6 @@ impl Conv2dGeometry {
 ///
 /// Panics if `input` is not rank 4 or its plane size disagrees with `geo`.
 pub fn im2col(input: &Tensor, geo: &Conv2dGeometry) -> Tensor {
-    let (rows, cols) = im2col_shape(input, geo);
-    let mut out = vec![0.0f32; rows * cols];
-    im2col_into(input, geo, &mut out, cols);
-    Tensor::from_vec(out, &[rows, cols])
-}
-
-/// [`im2col`] with the patch matrix drawn from `ws`.
-///
-/// # Panics
-///
-/// Panics if `input` is not rank 4 or its plane size disagrees with `geo`.
-pub fn im2col_ws(input: &Tensor, geo: &Conv2dGeometry, ws: &mut Workspace) -> Tensor {
-    let (rows, cols) = im2col_shape(input, geo);
-    let mut out = ws.take_zeroed(rows * cols);
-    im2col_into(input, geo, &mut out, cols);
-    Tensor::from_vec(out, &[rows, cols])
-}
-
-fn im2col_shape(input: &Tensor, geo: &Conv2dGeometry) -> (usize, usize) {
     let d = input.dims();
     assert_eq!(d.len(), 4, "im2col input rank {}", d.len());
     assert_eq!(
@@ -112,25 +93,20 @@ fn im2col_shape(input: &Tensor, geo: &Conv2dGeometry) -> (usize, usize) {
         geo.in_h,
         geo.in_w
     );
-    let k = geo.kernel;
-    (d[1] * k * k, d[0] * geo.out_positions())
-}
-
-/// Fills the `[C·K·K, cols]` patch matrix, one tap row per unit of
-/// parallelism (rows are fully independent).
-fn im2col_into(input: &Tensor, geo: &Conv2dGeometry, out: &mut [f32], cols: usize) {
-    if out.is_empty() {
-        return;
-    }
-    let d = input.dims();
     let (n, c) = (d[0], d[1]);
-    let (oh, ow) = (geo.out_h(), geo.out_w());
     let k = geo.kernel;
+    let (rows, cols) = (c * k * k, n * geo.out_positions());
+    let mut out = vec![0.0f32; rows * cols];
+    if out.is_empty() {
+        return Tensor::from_vec(out, &[rows, cols]);
+    }
+    let (oh, ow) = (geo.out_h(), geo.out_w());
     let src = input.data();
     let plane = geo.in_h * geo.in_w;
 
-    pool::parallel_rows_mut(out, cols, 1, |rows, block| {
-        for (bi, row) in rows.enumerate() {
+    // One tap row per unit of parallelism (rows are fully independent).
+    pool::parallel_rows_mut(&mut out, cols, 1, |taps, block| {
+        for (bi, row) in taps.enumerate() {
             let row_out = &mut block[bi * cols..(bi + 1) * cols];
             let kx = row % k;
             let ky = (row / k) % k;
@@ -155,6 +131,7 @@ fn im2col_into(input: &Tensor, geo: &Conv2dGeometry, out: &mut [f32], cols: usiz
             }
         }
     });
+    Tensor::from_vec(out, &[rows, cols])
 }
 
 /// Folds a `[C·K·K, N·OH·OW]` patch-gradient matrix back into an
@@ -250,7 +227,7 @@ mod tests {
     use super::*;
 
     /// Direct (non-lowered) convolution used as the reference implementation.
-    pub fn conv2d_naive(input: &Tensor, weight: &Tensor, geo: &Conv2dGeometry) -> Tensor {
+    fn conv2d_naive(input: &Tensor, weight: &Tensor, geo: &Conv2dGeometry) -> Tensor {
         let (n, c_in) = (input.dim(0), input.dim(1));
         let c_out = weight.dim(0);
         assert_eq!(weight.dim(1), c_in);

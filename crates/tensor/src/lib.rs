@@ -3,8 +3,8 @@
 //! Dense, row-major `f32` tensors and the numerical kernels needed by the
 //! Fluid Dynamic DNN reproduction: one strided matrix-multiplication
 //! engine (transposed operands are zero-copy [`TensorView`]s, not
-//! separate kernels), `im2col`/`col2im` for convolutions, elementwise and
-//! broadcast maps, reductions, and weight initialisers.
+//! separate kernels), `im2col`/`col2im` for convolutions, elementwise
+//! maps, reductions, and weight initialisers.
 //!
 //! The crate deliberately mirrors the small subset of a full tensor library
 //! that the paper's 3-conv + 1-FC model needs, with exact, deterministic
@@ -22,20 +22,15 @@
 //! ```
 //!
 //! Shape errors panic with a descriptive message (as in `ndarray`); all
-//! panicking functions document this in a *Panics* section. View-layout
-//! errors (slicing out of range, broadcasting mismatched extents,
-//! aliasing mutable layouts) are the exception: they return typed
-//! [`ViewError`] values, because higher layers want to refuse bad shapes,
-//! not crash — see `docs/TENSOR.md`.
+//! panicking functions document this in a *Panics* section.
 //!
-//! ## Views and broadcasting
+//! ## Transposed views
 //!
-//! [`Tensor::view`] / [`Tensor::view_mut`] open zero-copy strided windows
-//! ([`TensorView`] / [`TensorViewMut`]): [`TensorView::transpose`] swaps
-//! strides, [`TensorView::slice`]/[`TensorView::narrow`] bump the base
-//! offset, [`TensorView::broadcast_to`] repeats data with stride 0, and
-//! the GEMM engine packs any of them directly — `a.view().t().matmul(&b)`
-//! is the transposed product, with no copy and no special kernel.
+//! [`Tensor::view`] borrows a tensor as a [`TensorView`], a dims+strides
+//! window; [`TensorView::transpose`] swaps two strides, and the GEMM
+//! engine packs straight from them — `a.view().t().matmul(&b.view())` is
+//! the transposed product, with no copy and no special kernel. See
+//! `docs/TENSOR.md`.
 //!
 //! ## The compute-kernel layer
 //!
@@ -77,10 +72,10 @@ mod workspace;
 pub use gemm::{
     conv_gemm_dw_ws, conv_gemm_fwd_with, conv_gemm_fwd_ws, PatchMatrix, KC, MR, NC, NR,
 };
-pub use im2col::{col2im, col2im_ws, im2col, im2col_ws, Conv2dGeometry};
+pub use im2col::{col2im, col2im_ws, im2col, Conv2dGeometry};
 pub use init::{kaiming_normal, kaiming_uniform, xavier_uniform};
 pub use rng::Prng;
 pub use shape::{numel, Shape, MAX_RANK};
 pub use tensor::Tensor;
-pub use view::{TensorView, TensorViewMut, ViewError};
+pub use view::TensorView;
 pub use workspace::Workspace;

@@ -118,64 +118,6 @@ impl Tensor {
         self.map(|x| x.max(0.0))
     }
 
-    /// Adds a bias vector to each row of an `[N, F]` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank 2 or `bias.numel() != F`.
-    pub fn add_row_bias(&self, bias: &Tensor) -> Tensor {
-        let d = self.dims();
-        assert_eq!(d.len(), 2, "add_row_bias on rank-{} tensor", d.len());
-        assert_eq!(
-            bias.numel(),
-            d[1],
-            "bias length {} != {}",
-            bias.numel(),
-            d[1]
-        );
-        let mut out = self.clone();
-        let f = d[1];
-        let b = bias.data();
-        pool::parallel_rows_mut(out.data_mut(), f, 64, |_, block| {
-            for row in block.chunks_mut(f) {
-                for (x, &bv) in row.iter_mut().zip(b) {
-                    *x += bv;
-                }
-            }
-        });
-        out
-    }
-
-    /// Adds a per-channel bias to an `[N, C, H, W]` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank 4 or `bias.numel() != C`.
-    pub fn add_channel_bias(&self, bias: &Tensor) -> Tensor {
-        let d = self.dims();
-        assert_eq!(d.len(), 4, "add_channel_bias on rank-{} tensor", d.len());
-        assert_eq!(
-            bias.numel(),
-            d[1],
-            "bias length {} != {}",
-            bias.numel(),
-            d[1]
-        );
-        let mut out = self.clone();
-        let plane = d[2] * d[3];
-        let channels = d[1];
-        let b = bias.data();
-        pool::parallel_rows_mut(out.data_mut(), plane, 8, |planes, block| {
-            for (bi, p) in planes.enumerate() {
-                let bv = b[p % channels];
-                for x in &mut block[bi * plane..(bi + 1) * plane] {
-                    *x += bv;
-                }
-            }
-        });
-        out
-    }
-
     /// Squared L2 norm of all elements.
     pub fn sq_norm(&self) -> f32 {
         self.data().iter().map(|x| x * x).sum()
@@ -216,22 +158,6 @@ mod tests {
     fn relu_clamps_negative() {
         let a = t(&[-1.0, 0.0, 2.0]);
         assert_eq!(a.relu().data(), &[0.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn row_bias_broadcasts() {
-        let x = Tensor::from_fn(&[2, 3], |i| i as f32);
-        let b = t(&[10.0, 20.0, 30.0]);
-        let y = x.add_row_bias(&b);
-        assert_eq!(y.data(), &[10.0, 21.0, 32.0, 13.0, 24.0, 35.0]);
-    }
-
-    #[test]
-    fn channel_bias_broadcasts() {
-        let x = Tensor::zeros(&[1, 2, 2, 2]);
-        let b = t(&[1.0, 2.0]);
-        let y = x.add_channel_bias(&b);
-        assert_eq!(y.data(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]

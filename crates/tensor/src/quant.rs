@@ -183,8 +183,8 @@ pub enum QuantSrcB<'a> {
     /// examples, so the product comes out `[out, n]`).
     Cols(&'a [f32]),
     /// An arbitrary strided layout — a [`crate::TensorView`]'s storage
-    /// plus its two rank-2 strides, so transposed/sliced activation
-    /// windows quantize without materialising.
+    /// plus its two rank-2 strides, so transposed activations quantize
+    /// without materialising.
     Strided {
         /// Base storage; element `B[p, j]` lives at `data[p*rs + j*cs]`.
         data: &'a [f32],

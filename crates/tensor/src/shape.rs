@@ -14,9 +14,9 @@ pub const MAX_RANK: usize = 4;
 ///
 /// Both arrays are stored inline (no heap) up to [`MAX_RANK`] dimensions.
 /// A shape built by [`Shape::new`] is row-major (C order): the last
-/// dimension is contiguous in memory. [`Shape::with_strides`] describes
-/// any other layout — a transposed view swaps two strides, a broadcast
-/// view sets a stride to zero — without moving data.
+/// dimension is contiguous in memory. The one other layout in this
+/// workspace is a transposed view, which swaps two dims and their strides
+/// without moving data.
 ///
 /// **Equality and hashing consider only the dimension extents**, never
 /// the strides: a `[3, 4]` tensor and the transposed view of a `[4, 3]`
@@ -31,10 +31,6 @@ pub const MAX_RANK: usize = 4;
 /// assert_eq!(s.numel(), 24);
 /// assert_eq!(s.strides(), &[12, 4, 1]);
 /// assert!(s.is_contiguous());
-///
-/// let t = Shape::with_strides(&[4, 3], &[1, 4]); // a transposed layout
-/// assert_eq!(t, Shape::new(&[4, 3]));            // equality ignores strides
-/// assert!(!t.is_contiguous());
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Shape {
@@ -70,40 +66,6 @@ impl Shape {
         Self {
             dims: inline,
             strides,
-            rank: dims.len(),
-        }
-    }
-
-    /// Creates a shape with explicit per-dimension strides (in elements).
-    ///
-    /// This is the layout-describing constructor behind every zero-copy
-    /// view: nothing is validated against a buffer here — bounds are the
-    /// view constructors' job.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dims.len() != strides.len()` or the rank exceeds
-    /// [`MAX_RANK`].
-    pub fn with_strides(dims: &[usize], strides: &[usize]) -> Self {
-        assert_eq!(
-            dims.len(),
-            strides.len(),
-            "{} dims with {} strides",
-            dims.len(),
-            strides.len()
-        );
-        assert!(
-            dims.len() <= MAX_RANK,
-            "rank {} exceeds MAX_RANK {MAX_RANK}",
-            dims.len()
-        );
-        let mut d = [0usize; MAX_RANK];
-        let mut s = [0usize; MAX_RANK];
-        d[..dims.len()].copy_from_slice(dims);
-        s[..strides.len()].copy_from_slice(strides);
-        Self {
-            dims: d,
-            strides: s,
             rank: dims.len(),
         }
     }
@@ -171,20 +133,6 @@ impl Shape {
         out.dims.swap(a, b);
         out.strides.swap(a, b);
         out
-    }
-
-    /// The largest flat offset reachable by any in-bounds index, plus one
-    /// — the buffer length this layout requires. Zero when any extent is
-    /// zero (the view is empty and touches nothing).
-    pub(crate) fn required_len(&self) -> usize {
-        if self.numel() == 0 {
-            return 0;
-        }
-        let mut last = 0usize;
-        for i in 0..self.rank {
-            last += (self.dims[i] - 1) * self.strides[i];
-        }
-        last + 1
     }
 }
 
@@ -284,7 +232,6 @@ mod tests {
     fn zero_extent_dim_gives_zero_numel() {
         let s = Shape::new(&[3, 0, 2]);
         assert_eq!(s.numel(), 0);
-        assert_eq!(s.required_len(), 0);
     }
 
     #[test]
@@ -299,7 +246,7 @@ mod tests {
         // Shape identity is the logical extents; a transposed layout of
         // the same extents is the same shape.
         let contiguous = Shape::new(&[4, 3]);
-        let transposed = Shape::with_strides(&[4, 3], &[1, 4]);
+        let transposed = Shape::new(&[3, 4]).swapped(0, 1);
         assert_eq!(contiguous, transposed);
         assert!(!transposed.is_contiguous());
         // Hash must agree with Eq.
@@ -322,12 +269,15 @@ mod tests {
     }
 
     #[test]
-    fn required_len_covers_strided_layouts() {
-        assert_eq!(Shape::new(&[2, 3]).required_len(), 6);
-        // Transposed [3, 2] over the same 6-element buffer.
-        assert_eq!(Shape::with_strides(&[3, 2], &[1, 3]).required_len(), 6);
-        // Broadcast stride-0 row repeated 5 times still needs 3 elements.
-        assert_eq!(Shape::with_strides(&[5, 3], &[0, 1]).required_len(), 3);
+    #[should_panic(expected = "swap axes (0, 2) out of range for rank 2")]
+    fn swapped_out_of_range_panics() {
+        let _ = Shape::new(&[2, 3]).swapped(0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension 2 out of range for rank 2")]
+    fn dim_out_of_range_panics() {
+        let _ = Shape::new(&[2, 3]).dim(2);
     }
 
     #[test]

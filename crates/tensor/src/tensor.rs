@@ -281,47 +281,49 @@ impl Tensor {
 
     /// Borrowed view of rows `[lo, hi)` of an `[N, F]` tensor — no copy.
     ///
-    /// Sugar for a first-axis [`TensorView::slice`] flattened back to the
-    /// contiguous storage it windows (a leading-axis slice of a dense
-    /// tensor is always contiguous); hot paths that want a `&[f32]`
-    /// (mini-batch gathering, wire serialisation) keep this shorthand,
-    /// the general machinery lives on [`Tensor::view`].
+    /// # Example
+    ///
+    /// ```
+    /// use fluid_tensor::Tensor;
+    /// let t = Tensor::from_fn(&[3, 2], |i| i as f32);
+    /// assert_eq!(t.rows(1, 3), &[2.0, 3.0, 4.0, 5.0]);
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics if the tensor is not rank 2 or the range is invalid.
-    ///
-    /// [`TensorView::slice`]: crate::TensorView::slice
     pub fn rows(&self, lo: usize, hi: usize) -> &[f32] {
         let d = self.dims();
         assert_eq!(d.len(), 2, "rows on rank-{} tensor", d.len());
-        let v = self
-            .view()
-            .slice(0, lo, hi)
-            .unwrap_or_else(|_| panic!("row range {lo}..{hi} out of 0..{}", d[0]));
-        v.contiguous_data()
-            .expect("leading-axis slice of a dense tensor is contiguous")
+        assert!(
+            lo <= hi && hi <= d[0],
+            "row range {lo}..{hi} out of 0..{}",
+            d[0]
+        );
+        &self.data[lo * d[1]..hi * d[1]]
     }
 
     /// Borrowed view of example `i` along the first axis of any tensor of
     /// rank ≥ 1 (e.g. one `[C, H, W]` image of an `[N, C, H, W]` batch) —
-    /// no copy. Like [`rows`](Tensor::rows), this is first-axis
-    /// [`TensorView::slice`] sugar returning the contiguous storage.
+    /// no copy.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use fluid_tensor::Tensor;
+    /// let batch = Tensor::from_fn(&[2, 1, 2, 2], |i| i as f32);
+    /// assert_eq!(batch.example(1), &[4.0, 5.0, 6.0, 7.0]);
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics if the tensor is rank 0 or `i` is out of range.
-    ///
-    /// [`TensorView::slice`]: crate::TensorView::slice
     pub fn example(&self, i: usize) -> &[f32] {
         let d = self.dims();
         assert!(!d.is_empty(), "example on rank-0 tensor");
-        let v = self
-            .view()
-            .slice(0, i, i + 1)
-            .unwrap_or_else(|_| panic!("example {i} out of {}", d[0]));
-        v.contiguous_data()
-            .expect("leading-axis slice of a dense tensor is contiguous")
+        assert!(i < d[0], "example {i} out of {}", d[0]);
+        let len = self.shape.strides()[0];
+        &self.data[i * len..(i + 1) * len]
     }
 
     /// Extracts rows `[lo, hi)` of an `[N, F]` tensor as a new tensor.
@@ -368,9 +370,16 @@ impl Tensor {
 
     /// Returns a transposed copy of a rank-2 tensor.
     ///
-    /// Materialised via the zero-copy view: the copy here is the point of
-    /// the method. When a transposed *operand* is all that's needed,
+    /// When a transposed *operand* is all that's needed,
     /// `t.view().transpose()` skips the copy entirely.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use fluid_tensor::Tensor;
+    /// let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
+    /// assert_eq!(t.transpose().data(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+    /// ```
     ///
     /// # Panics
     ///
@@ -378,7 +387,8 @@ impl Tensor {
     pub fn transpose(&self) -> Tensor {
         let d = self.dims();
         assert_eq!(d.len(), 2, "transpose on rank-{} tensor", d.len());
-        self.view().transpose().to_tensor()
+        let (rows, cols) = (d[0], d[1]);
+        Tensor::from_fn(&[cols, rows], |i| self.data[(i % rows) * cols + i / rows])
     }
 
     /// Maximum absolute difference to another tensor of the same shape.
@@ -559,10 +569,57 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "row range 2..1 out of 0..3")]
+    fn reversed_row_range_panics() {
+        let _ = Tensor::zeros(&[3, 2]).rows(2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "example 3 out of 3")]
+    fn example_out_of_range_panics() {
+        let _ = Tensor::zeros(&[3, 4]).example(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "example on rank-0 tensor")]
+    fn example_of_rank0_tensor_panics() {
+        let _ = Tensor::zeros(&[]).example(0);
+    }
+
+    #[test]
+    fn example_of_a_vector_is_one_element() {
+        let v = Tensor::from_fn(&[4], |i| i as f32);
+        assert_eq!(v.example(2), &[2.0]);
+    }
+
+    #[test]
+    fn example_of_zero_size_images_is_empty() {
+        assert!(Tensor::zeros(&[3, 0, 5]).example(2).is_empty());
+    }
+
+    #[test]
     fn transpose_involution() {
         let t = Tensor::from_fn(&[3, 4], |i| i as f32 * 0.5);
         assert_eq!(t.transpose().transpose(), t);
         assert_eq!(t.transpose().at2(2, 1), t.at2(1, 2));
+    }
+
+    #[test]
+    fn transpose_moves_every_element_on_thin_shapes() {
+        for (r, c) in [(1, 5), (5, 1), (0, 3), (3, 7)] {
+            let t = Tensor::from_fn(&[r, c], |i| i as f32);
+            let tt = t.transpose();
+            assert_eq!(tt.dims(), &[c, r]);
+            for (i, j) in (0..c).flat_map(|i| (0..r).map(move |j| (i, j))) {
+                assert_eq!(tt.at2(i, j), t.at2(j, i), "({i}, {j}) of {r}x{c}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transpose on rank-3 tensor")]
+    fn transpose_of_rank3_tensor_panics() {
+        let _ = Tensor::zeros(&[2, 2, 2]).transpose();
     }
 
     #[test]

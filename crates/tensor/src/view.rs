@@ -1,181 +1,29 @@
-//! Zero-copy strided tensor views and broadcast-aware elementwise ops.
+//! Zero-copy transposed views into the GEMM.
 //!
 //! A [`TensorView`] is a borrowed window onto `f32` storage described by a
-//! dims+strides [`Shape`](crate::Shape): transposing swaps two strides,
-//! slicing narrows an extent and bumps the base offset, and broadcasting
-//! sets a stride to zero — none of which moves a byte. Views are `Copy`
-//! and heap-free, so building one on a hot path costs nothing (the
-//! zero-steady-state-allocation contract extends to every view op with a
-//! `_ws` twin).
-//!
-//! [`TensorViewMut`] is the writable twin. Its constructors *reject*
-//! layouts in which two index tuples could address the same element
-//! (zero strides, or strides that interleave) with
-//! [`ViewError::Overlapping`] — a mutable view must be an injective map
-//! or writes through it would race with themselves.
-//!
-//! ## Broadcasting rules
-//!
-//! Two shapes broadcast together NumPy-style, right-aligned: each pair of
-//! trailing-aligned extents must be equal, or one of them `1` (that side
-//! is repeated by giving the dimension stride 0). The rules are applied
-//! by [`TensorView::broadcast_to`] and by the binary ops
-//! ([`TensorView::add`], [`sub`](TensorView::sub),
-//! [`mul`](TensorView::mul)); mismatches come back as typed
-//! [`ViewError::BroadcastMismatch`] values, never panics, so callers can
-//! surface shape bugs as recoverable errors.
-//!
-//! Elementwise results are computed with each output element's value
-//! depending only on its own operand elements, partitioned over output
-//! rows exactly like [`ops`](crate::Tensor::add) — bit-identical at any
-//! thread count. See `docs/TENSOR.md` for the full contract.
+//! dims+strides [`Shape`](crate::Shape): transposing swaps two strides and
+//! moves no byte. The GEMM engine packs operands straight from those
+//! strides, so `a.view().t().matmul(&b.view())` is the transposed product
+//! with no copy and no special kernel. Views are `Copy` and heap-free, so
+//! building one on a hot path costs nothing. See `docs/TENSOR.md`.
 
 use crate::gemm::{gemm, AccessA, AccessB};
-use crate::pool;
-use crate::shape::{numel, Shape};
+use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
 
-/// Minimum output elements per pool task for broadcast maps; mirrors the
-/// elementwise grain in `ops.rs`.
-const ELEM_GRAIN: usize = 4096;
-
-/// A typed layout error from a view operation.
-///
-/// Every fallible view transform returns one of these instead of
-/// panicking, so shape mistakes in higher layers surface as values a
-/// server can log and refuse rather than a crash it must contain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ViewError {
-    /// The named axis does not exist on this view.
-    AxisOutOfRange {
-        /// The requested axis.
-        axis: usize,
-        /// The view's rank.
-        rank: usize,
-    },
-    /// A slice range fell outside the axis extent (or `lo > hi`).
-    RangeOutOfBounds {
-        /// The sliced axis.
-        axis: usize,
-        /// Range start (inclusive).
-        lo: usize,
-        /// Range end (exclusive).
-        hi: usize,
-        /// The axis extent.
-        extent: usize,
-    },
-    /// The two shapes do not broadcast together (see the module docs for
-    /// the rules).
-    ///
-    /// The shapes are boxed to keep the error variant — and therefore
-    /// every `Result` on the view hot paths — small; the allocation only
-    /// happens on the (cold) error path.
-    BroadcastMismatch {
-        /// Left/source shape.
-        from: Box<Shape>,
-        /// Right/target shape.
-        to: Box<Shape>,
-    },
-    /// A mutable view's layout could alias itself: some element would be
-    /// reachable from two distinct index tuples.
-    Overlapping {
-        /// The rejected layout (boxed — see
-        /// [`BroadcastMismatch`](ViewError::BroadcastMismatch)).
-        shape: Box<Shape>,
-    },
-    /// The layout reaches past the end of the provided buffer.
-    OutOfBuffer {
-        /// Elements the layout addresses.
-        required: usize,
-        /// Elements the buffer holds.
-        len: usize,
-    },
-}
-
-impl std::fmt::Display for ViewError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ViewError::AxisOutOfRange { axis, rank } => {
-                write!(f, "axis {axis} out of range for rank {rank}")
-            }
-            ViewError::RangeOutOfBounds {
-                axis,
-                lo,
-                hi,
-                extent,
-            } => write!(f, "range {lo}..{hi} out of 0..{extent} on axis {axis}"),
-            ViewError::BroadcastMismatch { from, to } => {
-                write!(f, "shape {from} does not broadcast with {to}")
-            }
-            ViewError::Overlapping { shape } => write!(
-                f,
-                "layout {shape} with strides {:?} can alias itself and cannot be mutable",
-                shape.strides()
-            ),
-            ViewError::OutOfBuffer { required, len } => {
-                write!(f, "layout needs {required} elements, buffer has {len}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ViewError {}
-
 /// A zero-copy, read-only strided view over `f32` storage.
 ///
-/// Created by [`Tensor::view`], [`TensorView::with_strides`], or by
-/// transforming another view. `Copy` and heap-free: a view is a slice
-/// reference plus an inline [`Shape`].
+/// Created by [`Tensor::view`] and transformed by
+/// [`transpose`](TensorView::transpose). `Copy` and heap-free: a view is a
+/// slice reference plus an inline [`Shape`].
 #[derive(Debug, Clone, Copy)]
 pub struct TensorView<'a> {
-    /// Storage, already offset so logical index `(0, …, 0)` is `data[0]`.
     data: &'a [f32],
     shape: Shape,
 }
 
 impl<'a> TensorView<'a> {
-    pub(crate) fn from_parts(data: &'a [f32], shape: Shape) -> Self {
-        debug_assert!(shape.required_len() <= data.len());
-        Self { data, shape }
-    }
-
-    /// Wraps a buffer with an explicit dims+strides layout.
-    ///
-    /// Aliasing layouts (repeated or zero strides) are fine for a
-    /// read-only view; the only requirement is that every in-bounds index
-    /// stays inside `data`.
-    ///
-    /// # Errors
-    ///
-    /// [`ViewError::OutOfBuffer`] if the layout addresses past the end of
-    /// `data`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dims.len() != strides.len()` or the rank exceeds
-    /// [`MAX_RANK`](crate::MAX_RANK).
-    pub fn with_strides(
-        data: &'a [f32],
-        dims: &[usize],
-        strides: &[usize],
-    ) -> Result<Self, ViewError> {
-        let shape = Shape::with_strides(dims, strides);
-        let required = shape.required_len();
-        if required > data.len() {
-            return Err(ViewError::OutOfBuffer {
-                required,
-                len: data.len(),
-            });
-        }
-        Ok(Self { data, shape })
-    }
-
-    /// The view's shape (dims + strides).
-    pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
     /// Dimension extents, outermost first.
     pub fn dims(&self) -> &[usize] {
         self.shape.dims()
@@ -184,56 +32,6 @@ impl<'a> TensorView<'a> {
     /// Per-dimension strides, in elements.
     pub fn strides(&self) -> &[usize] {
         self.shape.strides()
-    }
-
-    /// Number of dimensions.
-    pub fn rank(&self) -> usize {
-        self.shape.rank()
-    }
-
-    /// Total number of elements (counting broadcast repeats).
-    pub fn numel(&self) -> usize {
-        self.shape.numel()
-    }
-
-    /// `true` when the elements sit consecutively in row-major order.
-    pub fn is_contiguous(&self) -> bool {
-        self.shape.is_contiguous()
-    }
-
-    /// The element at a full multi-index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx.len() != rank()` or any coordinate is out of range.
-    pub fn at(&self, idx: &[usize]) -> f32 {
-        assert_eq!(
-            idx.len(),
-            self.rank(),
-            "index of rank {} into rank-{} view",
-            idx.len(),
-            self.rank()
-        );
-        let mut off = 0usize;
-        for (axis, (&i, (&d, &s))) in idx
-            .iter()
-            .zip(self.dims().iter().zip(self.strides()))
-            .enumerate()
-        {
-            assert!(i < d, "index {i} out of extent {d} on axis {axis}");
-            off += i * s;
-        }
-        self.data[off]
-    }
-
-    /// The backing slice when (and only when) the view is contiguous —
-    /// the escape hatch row/example accessors are built on.
-    pub fn contiguous_data(&self) -> Option<&'a [f32]> {
-        if !self.is_contiguous() {
-            return None;
-        }
-        let n = self.numel();
-        self.data.get(..n)
     }
 
     /// Swaps the last two dimensions — a zero-copy transpose.
@@ -245,15 +43,14 @@ impl<'a> TensorView<'a> {
     /// let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
     /// let tt = t.view().transpose(); // still borrowing t's storage
     /// assert_eq!(tt.dims(), &[3, 2]);
-    /// assert_eq!(tt.at(&[2, 0]), t.at2(0, 2));
-    /// assert_eq!(tt.at(&[0, 1]), t.at2(1, 0));
+    /// assert_eq!(tt.strides(), &[1, 3]);
     /// ```
     ///
     /// # Panics
     ///
     /// Panics if the view has rank < 2.
     pub fn transpose(self) -> TensorView<'a> {
-        let r = self.rank();
+        let r = self.shape.rank();
         assert!(r >= 2, "transpose on rank-{r} view");
         TensorView {
             data: self.data,
@@ -270,200 +67,12 @@ impl<'a> TensorView<'a> {
         self.transpose()
     }
 
-    /// Restricts `axis` to the range `[lo, hi)` — zero-copy; the result
-    /// borrows the same storage at a bumped base offset. Zero-size ranges
-    /// (`lo == hi`) are valid and yield an empty view.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use fluid_tensor::Tensor;
-    /// let t = Tensor::from_fn(&[4, 3], |i| i as f32);
-    /// let mid = t.view().slice(0, 1, 3).unwrap(); // rows 1 and 2
-    /// assert_eq!(mid.dims(), &[2, 3]);
-    /// assert_eq!(mid.at(&[0, 0]), 3.0);
-    /// assert!(t.view().slice(0, 2, 9).is_err()); // typed, not a panic
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`ViewError::AxisOutOfRange`] or [`ViewError::RangeOutOfBounds`].
-    pub fn slice(self, axis: usize, lo: usize, hi: usize) -> Result<TensorView<'a>, ViewError> {
-        let shape = slice_shape(&self.shape, axis, lo, hi)?;
-        Ok(TensorView {
-            data: advance(self.data, lo * self.shape.strides()[axis], &shape),
-            shape,
-        })
-    }
-
-    /// Restricts `axis` to `len` extents starting at `start` —
-    /// `slice(axis, start, start + len)`.
-    ///
-    /// # Errors
-    ///
-    /// [`ViewError::AxisOutOfRange`] or [`ViewError::RangeOutOfBounds`].
-    pub fn narrow(
-        self,
-        axis: usize,
-        start: usize,
-        len: usize,
-    ) -> Result<TensorView<'a>, ViewError> {
-        self.slice(axis, start, start + len)
-    }
-
-    /// Broadcasts the view to `dims`, NumPy-style (see the module docs):
-    /// right-aligned, each extent must match or be 1; repeated dimensions
-    /// get stride 0, so no data is copied.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use fluid_tensor::Tensor;
-    /// let bias = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
-    /// let b = bias.view().broadcast_to(&[4, 3]).unwrap();
-    /// assert_eq!(b.dims(), &[4, 3]);
-    /// assert_eq!(b.strides(), &[0, 1]); // rows repeat for free
-    /// assert_eq!(b.at(&[3, 1]), 2.0);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`ViewError::BroadcastMismatch`] if any extent pair disagrees.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dims.len()` exceeds [`MAX_RANK`](crate::MAX_RANK).
-    pub fn broadcast_to(self, dims: &[usize]) -> Result<TensorView<'a>, ViewError> {
-        let shape = broadcast_shape(&self.shape, dims)?;
-        Ok(TensorView {
-            data: self.data,
-            shape,
-        })
-    }
-
-    /// Copies the view into a fresh contiguous [`Tensor`].
-    pub fn to_tensor(&self) -> Tensor {
-        self.to_tensor_ws(&mut Workspace::new())
-    }
-
-    /// [`to_tensor`](TensorView::to_tensor) with the output drawn from
-    /// `ws` — the zero-steady-state-allocation materialiser.
-    pub fn to_tensor_ws(&self, ws: &mut Workspace) -> Tensor {
-        let mut out = ws.tensor_zeroed(self.dims());
-        gather_unary(self, out.data_mut(), |x| x);
-        out
-    }
-
-    /// Broadcast-aware elementwise sum: `self + other`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use fluid_tensor::Tensor;
-    /// let x = Tensor::from_fn(&[2, 3], |i| i as f32);
-    /// let bias = Tensor::from_vec(vec![10.0, 20.0, 30.0], &[3]);
-    /// let y = x.view().add(&bias.view()).unwrap();
-    /// assert_eq!(y.data(), &[10.0, 21.0, 32.0, 13.0, 24.0, 35.0]);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`ViewError::BroadcastMismatch`] if the shapes do not broadcast.
-    pub fn add(&self, other: &TensorView<'_>) -> Result<Tensor, ViewError> {
-        self.zip_broadcast(other, |a, b| a + b)
-    }
-
-    /// [`add`](TensorView::add) with the output drawn from `ws`.
-    ///
-    /// # Errors
-    ///
-    /// [`ViewError::BroadcastMismatch`] if the shapes do not broadcast.
-    pub fn add_ws(&self, other: &TensorView<'_>, ws: &mut Workspace) -> Result<Tensor, ViewError> {
-        self.zip_broadcast_ws(other, ws, |a, b| a + b)
-    }
-
-    /// Broadcast-aware elementwise difference: `self - other`.
-    ///
-    /// # Errors
-    ///
-    /// [`ViewError::BroadcastMismatch`] if the shapes do not broadcast.
-    pub fn sub(&self, other: &TensorView<'_>) -> Result<Tensor, ViewError> {
-        self.zip_broadcast(other, |a, b| a - b)
-    }
-
-    /// Broadcast-aware elementwise (Hadamard) product: `self * other`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use fluid_tensor::Tensor;
-    /// let x = Tensor::ones(&[2, 2]);
-    /// let col = Tensor::from_vec(vec![3.0, 5.0], &[2, 1]);
-    /// let y = x.view().mul(&col.view()).unwrap();
-    /// assert_eq!(y.data(), &[3.0, 3.0, 5.0, 5.0]);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`ViewError::BroadcastMismatch`] if the shapes do not broadcast.
-    pub fn mul(&self, other: &TensorView<'_>) -> Result<Tensor, ViewError> {
-        self.zip_broadcast(other, |a, b| a * b)
-    }
-
-    /// [`mul`](TensorView::mul) with the output drawn from `ws`.
-    ///
-    /// # Errors
-    ///
-    /// [`ViewError::BroadcastMismatch`] if the shapes do not broadcast.
-    pub fn mul_ws(&self, other: &TensorView<'_>, ws: &mut Workspace) -> Result<Tensor, ViewError> {
-        self.zip_broadcast_ws(other, ws, |a, b| a * b)
-    }
-
-    /// Combines two views elementwise under two-sided broadcasting.
-    ///
-    /// # Errors
-    ///
-    /// [`ViewError::BroadcastMismatch`] if the shapes do not broadcast.
-    pub fn zip_broadcast(
-        &self,
-        other: &TensorView<'_>,
-        f: impl Fn(f32, f32) -> f32 + Sync,
-    ) -> Result<Tensor, ViewError> {
-        self.zip_broadcast_ws(other, &mut Workspace::new(), f)
-    }
-
-    /// [`zip_broadcast`](TensorView::zip_broadcast) with the output drawn
-    /// from `ws`.
-    ///
-    /// # Errors
-    ///
-    /// [`ViewError::BroadcastMismatch`] if the shapes do not broadcast.
-    pub fn zip_broadcast_ws(
-        &self,
-        other: &TensorView<'_>,
-        ws: &mut Workspace,
-        f: impl Fn(f32, f32) -> f32 + Sync,
-    ) -> Result<Tensor, ViewError> {
-        let dims = broadcast_dims(self.dims(), other.dims()).ok_or_else(|| {
-            ViewError::BroadcastMismatch {
-                from: Box::new(*self.shape()),
-                to: Box::new(*other.shape()),
-            }
-        })?;
-        let a = self.broadcast_to(dims.dims())?;
-        let b = other.broadcast_to(dims.dims())?;
-        let mut out = ws.tensor_zeroed(dims.dims());
-        gather_binary(&a, &b, out.data_mut(), f);
-        Ok(out)
-    }
-
     /// Matrix product of two rank-2 views, in any layout: `[M, K] × [K,
-    /// N] → [M, N]`. Transposed or sliced operands cost nothing extra —
-    /// the GEMM engine packs straight from the view's strides, and the
-    /// result is **bit-identical** to multiplying materialised copies
-    /// (packing reads the same logical elements in the same order, and
-    /// the accumulation chain is fixed by `K` and
-    /// [`KC`](crate::KC) alone).
+    /// N] → [M, N]`. Transposed operands cost nothing extra — the GEMM
+    /// engine packs straight from the view's strides, and the result is
+    /// **bit-identical** to multiplying materialised copies (packing reads
+    /// the same logical elements in the same order, and the accumulation
+    /// chain is fixed by `K` and [`KC`](crate::KC) alone).
     ///
     /// # Example
     ///
@@ -510,450 +119,25 @@ impl<'a> TensorView<'a> {
     }
 }
 
-/// A zero-copy, writable strided view over `f32` storage.
-///
-/// Unlike [`TensorView`], constructors enforce that the layout is an
-/// *injective* map from index tuples to elements — a layout that could
-/// alias itself (zero strides, interleaving strides) is rejected with
-/// [`ViewError::Overlapping`], because writing through it would make the
-/// result depend on traversal order.
-#[derive(Debug)]
-pub struct TensorViewMut<'a> {
-    data: &'a mut [f32],
-    shape: Shape,
-}
-
-impl<'a> TensorViewMut<'a> {
-    pub(crate) fn from_parts(data: &'a mut [f32], shape: Shape) -> Self {
-        debug_assert!(check_no_overlap(&shape).is_ok());
-        debug_assert!(shape.required_len() <= data.len());
-        Self { data, shape }
-    }
-
-    /// Wraps a mutable buffer with an explicit dims+strides layout.
-    ///
-    /// # Errors
-    ///
-    /// [`ViewError::Overlapping`] if two index tuples could address the
-    /// same element (e.g. any zero stride with extent > 1), or
-    /// [`ViewError::OutOfBuffer`] if the layout addresses past `data`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dims.len() != strides.len()` or the rank exceeds
-    /// [`MAX_RANK`](crate::MAX_RANK).
-    pub fn with_strides(
-        data: &'a mut [f32],
-        dims: &[usize],
-        strides: &[usize],
-    ) -> Result<Self, ViewError> {
-        let shape = Shape::with_strides(dims, strides);
-        check_no_overlap(&shape)?;
-        let required = shape.required_len();
-        if required > data.len() {
-            return Err(ViewError::OutOfBuffer {
-                required,
-                len: data.len(),
-            });
-        }
-        Ok(Self { data, shape })
-    }
-
-    /// The view's shape (dims + strides).
-    pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
-    /// Dimension extents, outermost first.
-    pub fn dims(&self) -> &[usize] {
-        self.shape.dims()
-    }
-
-    /// Per-dimension strides, in elements.
-    pub fn strides(&self) -> &[usize] {
-        self.shape.strides()
-    }
-
-    /// Total number of elements.
-    pub fn numel(&self) -> usize {
-        self.shape.numel()
-    }
-
-    /// A read-only view of the same window.
-    pub fn as_view(&self) -> TensorView<'_> {
-        TensorView {
-            data: self.data,
-            shape: self.shape,
-        }
-    }
-
-    /// Swaps the last two dimensions in place — a zero-copy transpose.
-    /// (A permutation of an injective layout is injective, so no re-check
-    /// is needed.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view has rank < 2.
-    pub fn transpose(self) -> TensorViewMut<'a> {
-        let r = self.shape.rank();
-        assert!(r >= 2, "transpose on rank-{r} view");
-        TensorViewMut {
-            data: self.data,
-            shape: self.shape.swapped(r - 2, r - 1),
-        }
-    }
-
-    /// Restricts `axis` to `[lo, hi)`, reborrowing the same storage
-    /// mutably. Zero-size ranges are valid.
-    ///
-    /// # Errors
-    ///
-    /// [`ViewError::AxisOutOfRange`] or [`ViewError::RangeOutOfBounds`].
-    pub fn slice(self, axis: usize, lo: usize, hi: usize) -> Result<TensorViewMut<'a>, ViewError> {
-        let shape = slice_shape(&self.shape, axis, lo, hi)?;
-        let skip = lo * self.shape.strides()[axis];
-        let data = if shape.numel() == 0 {
-            &mut self.data[0..0]
-        } else {
-            &mut self.data[skip..]
-        };
-        Ok(TensorViewMut { data, shape })
-    }
-
-    /// Sets the element at a full multi-index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx.len() != rank` or any coordinate is out of range.
-    pub fn set(&mut self, idx: &[usize], v: f32) {
-        assert_eq!(
-            idx.len(),
-            self.shape.rank(),
-            "index of rank {} into rank-{} view",
-            idx.len(),
-            self.shape.rank()
-        );
-        let mut off = 0usize;
-        for (axis, (&i, (&d, &s))) in idx
-            .iter()
-            .zip(self.dims().iter().zip(self.strides()))
-            .enumerate()
-        {
-            assert!(i < d, "index {i} out of extent {d} on axis {axis}");
-            off += i * s;
-        }
-        self.data[off] = v;
-    }
-
-    /// Broadcast-aware in-place accumulate: `self += other`, with `other`
-    /// broadcast to this view's dims. This is the zero-copy residual-add:
-    /// the destination is written once per element in layout order, so
-    /// results are bit-identical at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// [`ViewError::BroadcastMismatch`] if `other` does not broadcast to
-    /// this view's dims.
-    pub fn add_assign_broadcast(&mut self, other: &TensorView<'_>) -> Result<(), ViewError> {
-        let rhs = other.broadcast_to(self.shape.dims())?;
-        if self.shape.is_contiguous() {
-            // Hot path: contiguous destination updates in parallel rows.
-            let data: &mut [f32] = self.data;
-            gather_binary_into(&rhs, &mut data[..self.shape.numel()], |dst, b| *dst += b);
-        } else {
-            // Strided destinations walk serially; injectivity (checked at
-            // construction) makes the order irrelevant to the result.
-            let dims = self.shape;
-            for flat in 0..dims.numel() {
-                let mut rem = flat;
-                let mut off = 0usize;
-                let mut idx = [0usize; crate::shape::MAX_RANK];
-                for axis in (0..dims.rank()).rev() {
-                    let d = dims.dims()[axis];
-                    idx[axis] = rem % d;
-                    off += idx[axis] * dims.strides()[axis];
-                    rem /= d;
-                }
-                self.data[off] += rhs.at(&idx[..dims.rank()]);
-            }
-        }
-        Ok(())
-    }
-}
-
 impl Tensor {
     /// A zero-copy read-only view of the whole tensor (contiguous,
-    /// row-major). The starting point for [`transpose`]d, [`slice`]d, and
-    /// [`broadcast_to`]-ed windows.
+    /// row-major) — the starting point for a
+    /// [`transpose`](TensorView::transpose)d GEMM operand.
     ///
-    /// [`transpose`]: TensorView::transpose
-    /// [`slice`]: TensorView::slice
-    /// [`broadcast_to`]: TensorView::broadcast_to
+    /// # Example
+    ///
+    /// ```
+    /// use fluid_tensor::Tensor;
+    /// let t = Tensor::zeros(&[2, 3]);
+    /// assert_eq!(t.view().dims(), &[2, 3]);
+    /// assert_eq!(t.view().strides(), &[3, 1]);
+    /// ```
     pub fn view(&self) -> TensorView<'_> {
-        TensorView::from_parts(self.data(), *self.shape())
-    }
-
-    /// A zero-copy mutable view of the whole tensor. Always valid: a
-    /// dense tensor's layout is injective by construction.
-    pub fn view_mut(&mut self) -> TensorViewMut<'_> {
-        let shape = *self.shape();
-        TensorViewMut::from_parts(self.data_mut(), shape)
-    }
-
-    /// Broadcast-aware in-place accumulate on a dense tensor:
-    /// `self += other` with `other` broadcast to this tensor's dims — the
-    /// residual-add / bias-add primitive used by the `_ws` layers.
-    ///
-    /// # Errors
-    ///
-    /// [`ViewError::BroadcastMismatch`] if `other` does not broadcast to
-    /// this tensor's dims.
-    pub fn add_assign_broadcast(&mut self, other: &TensorView<'_>) -> Result<(), ViewError> {
-        self.view_mut().add_assign_broadcast(other)
-    }
-}
-
-/// The slice layout algebra shared by the const and mut views.
-fn slice_shape(shape: &Shape, axis: usize, lo: usize, hi: usize) -> Result<Shape, ViewError> {
-    let rank = shape.rank();
-    if axis >= rank {
-        return Err(ViewError::AxisOutOfRange { axis, rank });
-    }
-    let extent = shape.dims()[axis];
-    if lo > hi || hi > extent {
-        return Err(ViewError::RangeOutOfBounds {
-            axis,
-            lo,
-            hi,
-            extent,
-        });
-    }
-    let mut dims = [0usize; crate::shape::MAX_RANK];
-    dims[..rank].copy_from_slice(shape.dims());
-    dims[axis] = hi - lo;
-    Ok(Shape::with_strides(&dims[..rank], shape.strides()))
-}
-
-/// Advances a read-only base pointer by `skip` elements, clamping for
-/// empty layouts (whose base may legally sit at the end of the buffer).
-fn advance<'a>(data: &'a [f32], skip: usize, shape: &Shape) -> &'a [f32] {
-    if shape.numel() == 0 {
-        return &data[0..0];
-    }
-    &data[skip..]
-}
-
-/// Broadcasts `shape` to `dims` (one-sided): right-aligned, each extent
-/// must equal the target or be 1 (stride drops to 0).
-fn broadcast_shape(shape: &Shape, dims: &[usize]) -> Result<Shape, ViewError> {
-    let mismatch = || ViewError::BroadcastMismatch {
-        from: Box::new(*shape),
-        to: Box::new(Shape::new(dims)),
-    };
-    if dims.len() < shape.rank() {
-        return Err(mismatch());
-    }
-    let lead = dims.len() - shape.rank();
-    let mut strides = [0usize; crate::shape::MAX_RANK];
-    for (i, &d) in dims.iter().enumerate() {
-        if i < lead {
-            continue; // fresh leading dim: pure repeat, stride 0
-        }
-        let (sd, ss) = (shape.dims()[i - lead], shape.strides()[i - lead]);
-        if sd == d {
-            strides[i] = ss;
-        } else if sd == 1 {
-            strides[i] = 0;
-        } else {
-            return Err(mismatch());
+        TensorView {
+            data: self.data(),
+            shape: *self.shape(),
         }
     }
-    Ok(Shape::with_strides(dims, &strides[..dims.len()]))
-}
-
-/// The two-sided broadcast of two dims lists, or `None` on mismatch.
-fn broadcast_dims(a: &[usize], b: &[usize]) -> Option<Shape> {
-    let rank = a.len().max(b.len());
-    let mut dims = [0usize; crate::shape::MAX_RANK];
-    for i in 0..rank {
-        let da = if i >= rank - a.len() {
-            a[i - (rank - a.len())]
-        } else {
-            1
-        };
-        let db = if i >= rank - b.len() {
-            b[i - (rank - b.len())]
-        } else {
-            1
-        };
-        dims[i] = if da == db || db == 1 {
-            da
-        } else if da == 1 {
-            db
-        } else {
-            return None;
-        };
-    }
-    Some(Shape::new(&dims[..rank]))
-}
-
-/// Rejects layouts in which two distinct index tuples can share a flat
-/// offset. Sufficient (and for this workspace's layouts, exact) check:
-/// order the used axes by stride; each stride must clear the whole span
-/// of the axes below it — the mixed-radix property of any injective
-/// packed layout. Zero strides on extents > 1 fail immediately.
-fn check_no_overlap(shape: &Shape) -> Result<(), ViewError> {
-    if shape.numel() == 0 {
-        return Ok(()); // empty views address nothing
-    }
-    let overlap = || ViewError::Overlapping {
-        shape: Box::new(*shape),
-    };
-    // Collect axes with extent > 1 (extent-1 axes address one point).
-    let mut axes: [(usize, usize); crate::shape::MAX_RANK] = [(0, 0); crate::shape::MAX_RANK];
-    let mut n = 0;
-    for (&d, &s) in shape.dims().iter().zip(shape.strides()) {
-        if d > 1 {
-            if s == 0 {
-                return Err(overlap());
-            }
-            axes[n] = (s, d);
-            n += 1;
-        }
-    }
-    let axes = &mut axes[..n];
-    axes.sort_unstable();
-    let mut span = 1usize; // elements addressable by the axes below
-    for &(s, d) in axes.iter() {
-        if s < span {
-            return Err(overlap());
-        }
-        span += s * (d - 1);
-    }
-    Ok(())
-}
-
-/// Fills contiguous `out` (row-major over `src.dims()`) with `f(src)`.
-fn gather_unary(src: &TensorView<'_>, out: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
-    let dims = src.dims();
-    let rank = dims.len();
-    let inner = if rank == 0 { 1 } else { dims[rank - 1] };
-    let inner_stride = if rank == 0 {
-        0
-    } else {
-        src.strides()[rank - 1]
-    };
-    if inner == 0 {
-        return;
-    }
-    let data = src.data;
-    let outer_dims = &dims[..rank.saturating_sub(1)];
-    let outer_strides = &src.strides()[..rank.saturating_sub(1)];
-    pool::parallel_rows_mut(
-        out,
-        inner,
-        ELEM_GRAIN.div_ceil(inner).max(1),
-        |orange, block| {
-            for (bi, o) in orange.enumerate() {
-                let base = outer_offset(o, outer_dims, outer_strides);
-                let row = &mut block[bi * inner..(bi + 1) * inner];
-                for (j, slot) in row.iter_mut().enumerate() {
-                    *slot = f(data[base + j * inner_stride]);
-                }
-            }
-        },
-    );
-}
-
-/// Fills contiguous `out` with `f(a, b)`; `a` and `b` must already carry
-/// `out`'s dims (post-broadcast).
-fn gather_binary(
-    a: &TensorView<'_>,
-    b: &TensorView<'_>,
-    out: &mut [f32],
-    f: impl Fn(f32, f32) -> f32 + Sync,
-) {
-    debug_assert_eq!(a.dims(), b.dims());
-    let dims = a.dims();
-    let rank = dims.len();
-    let inner = if rank == 0 { 1 } else { dims[rank - 1] };
-    if inner == 0 {
-        return;
-    }
-    let (ais, bis) = if rank == 0 {
-        (0, 0)
-    } else {
-        (a.strides()[rank - 1], b.strides()[rank - 1])
-    };
-    let (adata, bdata) = (a.data, b.data);
-    let outer_dims = &dims[..rank.saturating_sub(1)];
-    let (aos, bos) = (
-        &a.strides()[..rank.saturating_sub(1)],
-        &b.strides()[..rank.saturating_sub(1)],
-    );
-    pool::parallel_rows_mut(
-        out,
-        inner,
-        ELEM_GRAIN.div_ceil(inner).max(1),
-        |orange, block| {
-            for (bi, o) in orange.enumerate() {
-                let abase = outer_offset(o, outer_dims, aos);
-                let bbase = outer_offset(o, outer_dims, bos);
-                let row = &mut block[bi * inner..(bi + 1) * inner];
-                for (j, slot) in row.iter_mut().enumerate() {
-                    *slot = f(adata[abase + j * ais], bdata[bbase + j * bis]);
-                }
-            }
-        },
-    );
-}
-
-/// In-place twin of [`gather_binary`]: `f(&mut dst, b)` over a contiguous
-/// destination carrying `b`'s dims.
-fn gather_binary_into(b: &TensorView<'_>, dst: &mut [f32], f: impl Fn(&mut f32, f32) + Sync) {
-    let dims = b.dims();
-    let rank = dims.len();
-    let inner = if rank == 0 { 1 } else { dims[rank - 1] };
-    if inner == 0 {
-        return;
-    }
-    let bis = if rank == 0 { 0 } else { b.strides()[rank - 1] };
-    let bdata = b.data;
-    let outer_dims = &dims[..rank.saturating_sub(1)];
-    let bos = &b.strides()[..rank.saturating_sub(1)];
-    pool::parallel_rows_mut(
-        dst,
-        inner,
-        ELEM_GRAIN.div_ceil(inner).max(1),
-        |orange, block| {
-            for (bi, o) in orange.enumerate() {
-                let bbase = outer_offset(o, outer_dims, bos);
-                let row = &mut block[bi * inner..(bi + 1) * inner];
-                for (j, slot) in row.iter_mut().enumerate() {
-                    f(slot, bdata[bbase + j * bis]);
-                }
-            }
-        },
-    );
-}
-
-/// Flat outer index → strided base offset (row-major decomposition over
-/// the outer dims).
-#[inline]
-fn outer_offset(mut o: usize, dims: &[usize], strides: &[usize]) -> usize {
-    let mut off = 0usize;
-    for axis in (0..dims.len()).rev() {
-        let d = dims[axis];
-        off += (o % d) * strides[axis];
-        o /= d;
-    }
-    off
-}
-
-/// Keep `numel` (re-exported for view construction) linked in.
-#[allow(dead_code)]
-fn _numel_used(dims: &[usize]) -> usize {
-    numel(dims)
 }
 
 #[cfg(test)]
@@ -968,223 +152,89 @@ mod tests {
     fn view_of_tensor_is_contiguous_and_aliases() {
         let t = seq(&[2, 3]);
         let v = t.view();
-        assert!(v.is_contiguous());
-        assert_eq!(v.contiguous_data().unwrap().as_ptr(), t.data().as_ptr());
-        assert_eq!(v.at(&[1, 2]), 5.0);
+        assert_eq!((v.dims(), v.strides()), (&[2, 3][..], &[3, 1][..]));
+        assert_eq!(v.data.as_ptr(), t.data().as_ptr());
     }
 
     #[test]
     fn transpose_swaps_without_copy() {
         let t = seq(&[2, 3]);
         let v = t.view().transpose();
-        assert_eq!(v.dims(), &[3, 2]);
-        assert_eq!(v.strides(), &[1, 3]);
-        assert!(!v.is_contiguous());
-        for i in 0..3 {
-            for j in 0..2 {
-                assert_eq!(v.at(&[i, j]), t.at2(j, i));
-            }
+        assert_eq!((v.dims(), v.strides()), (&[3, 2][..], &[1, 3][..]));
+        assert_eq!(v.data.as_ptr(), t.data().as_ptr());
+        for (i, j) in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)] {
+            assert_eq!(v.data[i * v.strides()[0] + j * v.strides()[1]], t.at2(j, i));
         }
-        // Involution restores the original layout.
-        assert!(v.transpose().is_contiguous());
     }
 
     #[test]
-    fn slice_and_narrow_window_rows_and_cols() {
+    fn t_is_an_involution() {
         let t = seq(&[4, 5]);
-        let rows = t.view().slice(0, 1, 3).unwrap();
-        assert_eq!(rows.dims(), &[2, 5]);
-        assert_eq!(rows.at(&[0, 0]), 5.0);
-        assert!(rows.is_contiguous());
-        let cols = t.view().narrow(1, 2, 2).unwrap();
-        assert_eq!(cols.dims(), &[4, 2]);
-        assert_eq!(cols.at(&[1, 0]), 7.0);
-        assert!(!cols.is_contiguous());
-        // Compose: middle block.
-        let mid = t.view().slice(0, 1, 3).unwrap().slice(1, 1, 4).unwrap();
-        assert_eq!(mid.dims(), &[2, 3]);
-        assert_eq!(mid.at(&[1, 2]), t.at2(2, 3));
+        let back = t.view().t().t();
+        assert_eq!((back.dims(), back.strides()), (&[4, 5][..], &[5, 1][..]));
     }
 
     #[test]
-    fn zero_size_slices_are_valid_views() {
-        let t = seq(&[3, 4]);
-        // Empty at the start, middle, and end of the axis.
-        for lo in 0..=3 {
-            let v = t.view().slice(0, lo, lo).unwrap();
-            assert_eq!(v.dims(), &[0, 4]);
-            assert_eq!(v.numel(), 0);
-            assert_eq!(v.to_tensor().dims(), &[0, 4]);
-        }
-        // And an empty matmul through the engine.
-        let e = t.view().slice(0, 3, 3).unwrap();
-        let w = seq(&[4, 2]);
-        let c = e.matmul(&w.view());
+    fn transpose_swaps_only_the_last_two_axes() {
+        let t = seq(&[2, 3, 4, 5]);
+        let v = t.view().t();
+        assert_eq!(v.dims(), &[2, 3, 5, 4]);
+        assert_eq!(v.strides(), &[60, 20, 1, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "transpose on rank-1 view")]
+    fn transpose_of_rank1_view_panics() {
+        let _ = seq(&[4]).view().t();
+    }
+
+    #[test]
+    fn every_operand_layout_multiplies_bit_identically() {
+        // Dense or transposed view of a stored transpose, on each side:
+        // four layouts, one answer, bit for bit, across two KC blocks.
+        let k = crate::KC + 5;
+        let a = Tensor::from_fn(&[5, k], |i| (i as f32 * 0.17).sin());
+        let b = Tensor::from_fn(&[k, 7], |i| (i as f32 * 0.29).cos());
+        let (at, bt) = (a.transpose(), b.transpose());
+        let want = a.view().matmul(&b.view());
+        assert_eq!(at.view().t().matmul(&b.view()), want);
+        assert_eq!(a.view().matmul(&bt.view().t()), want);
+        assert_eq!(at.view().t().matmul(&bt.view().t()), want);
+    }
+
+    #[test]
+    fn zero_size_views_multiply_to_empty_or_zero() {
+        // No rows: an empty product. No inner extent: an all-zero one.
+        let c = Tensor::zeros(&[0, 4]).view().matmul(&seq(&[4, 2]).view());
         assert_eq!(c.dims(), &[0, 2]);
+        let e = Tensor::zeros(&[0, 3]);
+        let z = e.view().t().matmul(&seq(&[0, 2]).view());
+        assert_eq!(z, Tensor::zeros(&[3, 2]));
     }
 
     #[test]
-    fn slice_errors_are_typed_not_panics() {
-        let t = seq(&[3, 4]);
-        assert_eq!(
-            t.view().slice(5, 0, 1).map(|_| ()).unwrap_err(),
-            ViewError::AxisOutOfRange { axis: 5, rank: 2 }
-        );
-        match t.view().slice(1, 2, 9) {
-            Err(ViewError::RangeOutOfBounds {
-                axis,
-                lo,
-                hi,
-                extent,
-            }) => {
-                assert_eq!((axis, lo, hi, extent), (1, 2, 9, 4));
-            }
-            other => panic!("expected RangeOutOfBounds, got {other:?}"),
-        }
-        // lo > hi is a range error too.
-        assert!(t.view().slice(0, 2, 1).is_err());
-        let err = t.view().slice(1, 2, 9).unwrap_err();
-        assert!(err.to_string().contains("2..9"), "{err}");
+    fn matmul_ws_reuses_its_workspace() {
+        let a = Tensor::from_fn(&[6, 40], |i| (i as f32 * 0.3).sin());
+        let b = Tensor::from_fn(&[9, 40], |i| (i as f32 * 0.7).cos());
+        let mut ws = Workspace::new();
+        let first = a.view().matmul_ws(&b.view().t(), &mut ws);
+        ws.recycle(first);
+        let held = ws.buffers_held();
+        let second = a.view().matmul_ws(&b.view().t(), &mut ws);
+        assert_eq!(second, a.view().matmul(&b.view().t()));
+        ws.recycle(second);
+        assert_eq!(ws.buffers_held(), held, "second run must reuse, not grow");
     }
 
     #[test]
-    fn broadcast_mismatch_is_typed() {
-        let a = seq(&[2, 3]);
-        let b = seq(&[4]);
-        let err = a.view().add(&b.view()).unwrap_err();
-        assert!(
-            matches!(err, ViewError::BroadcastMismatch { .. }),
-            "{err:?}"
-        );
-        assert!(err.to_string().contains("broadcast"), "{err}");
-        // Higher-rank target with a clashing extent.
-        assert!(seq(&[3]).view().broadcast_to(&[2, 4]).is_err());
-        // And one that works: trailing extents align.
-        assert!(seq(&[3]).view().broadcast_to(&[2, 3]).is_ok());
+    #[should_panic(expected = "matmul inner dims 3 vs 4")]
+    fn matmul_inner_dim_mismatch_panics() {
+        let _ = seq(&[2, 3]).view().matmul(&seq(&[4, 2]).view());
     }
 
     #[test]
-    fn broadcast_add_matches_add_row_bias() {
-        let x = seq(&[5, 7]);
-        let bias = Tensor::from_fn(&[7], |i| (i as f32 * 0.3).sin());
-        let via_views = x.view().add(&bias.view()).unwrap();
-        assert_eq!(via_views, x.add_row_bias(&bias));
-    }
-
-    #[test]
-    fn broadcast_two_sided_column_times_row() {
-        let col = Tensor::from_vec(vec![1.0, 2.0], &[2, 1]);
-        let row = Tensor::from_vec(vec![10.0, 20.0, 30.0], &[1, 3]);
-        let outer = col.view().mul(&row.view()).unwrap();
-        assert_eq!(outer.dims(), &[2, 3]);
-        assert_eq!(outer.data(), &[10.0, 20.0, 30.0, 20.0, 40.0, 60.0]);
-    }
-
-    #[test]
-    fn add_assign_broadcast_is_the_residual_add() {
-        let mut x = seq(&[3, 4]);
-        let want = x.view().add(&x.view().slice(0, 0, 1).unwrap()).unwrap();
-        let first_row = x.slice_rows(0, 1);
-        x.add_assign_broadcast(&first_row.view()).unwrap();
-        assert_eq!(x, want);
-    }
-
-    #[test]
-    fn viewmut_rejects_overlapping_layouts() {
-        let mut buf = vec![0.0f32; 12];
-        // Zero stride on a repeated dim: the classic aliasing layout.
-        let err = TensorViewMut::with_strides(&mut buf, &[3, 4], &[0, 1]).unwrap_err();
-        assert!(matches!(err, ViewError::Overlapping { .. }), "{err:?}");
-        // Interleaving strides: rows of 4 with row stride 2 re-visit
-        // elements 2 and 3.
-        let err = TensorViewMut::with_strides(&mut buf, &[3, 4], &[2, 1]).unwrap_err();
-        assert!(matches!(err, ViewError::Overlapping { .. }), "{err:?}");
-        // The same layouts are fine read-only.
-        assert!(TensorView::with_strides(&buf, &[3, 4], &[0, 1]).is_ok());
-        // A legitimate strided (transposed) mutable layout passes.
-        assert!(TensorViewMut::with_strides(&mut buf, &[4, 3], &[1, 4]).is_ok());
-        // Extent-1 dims may carry any stride (they address one point).
-        assert!(TensorViewMut::with_strides(&mut buf, &[1, 4], &[0, 1]).is_ok());
-    }
-
-    #[test]
-    fn views_reject_out_of_buffer_layouts() {
-        let buf = vec![0.0f32; 5];
-        let err = TensorView::with_strides(&buf, &[2, 3], &[3, 1]).unwrap_err();
-        assert_eq!(
-            err,
-            ViewError::OutOfBuffer {
-                required: 6,
-                len: 5
-            }
-        );
-        // Empty layouts need no storage at all.
-        assert!(TensorView::with_strides(&[], &[0, 3], &[3, 1]).is_ok());
-    }
-
-    #[test]
-    fn viewmut_writes_through_transposed_window() {
-        let mut t = Tensor::zeros(&[2, 3]);
-        let mut v = t.view_mut().transpose(); // [3, 2]
-        v.set(&[2, 1], 7.0);
-        assert_eq!(t.at2(1, 2), 7.0);
-    }
-
-    #[test]
-    fn viewmut_slice_add_assign_updates_window_only() {
-        let mut t = Tensor::zeros(&[4, 3]);
-        let ones = Tensor::ones(&[3]);
-        t.view_mut()
-            .slice(0, 1, 3)
-            .unwrap()
-            .add_assign_broadcast(&ones.view())
-            .unwrap();
-        assert_eq!(t.rows(0, 1), &[0.0, 0.0, 0.0]);
-        assert_eq!(t.rows(1, 3), &[1.0; 6]);
-        assert_eq!(t.rows(3, 4), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn to_tensor_materialises_any_layout() {
-        let t = seq(&[3, 4]);
-        let tt = t.view().transpose().to_tensor();
-        assert_eq!(tt, t.transpose());
-        let sliced = t.view().narrow(1, 1, 2).unwrap().to_tensor();
-        assert_eq!(sliced, t.slice_cols(1, 3));
-        let b = t
-            .view()
-            .slice(0, 0, 1)
-            .unwrap()
-            .broadcast_to(&[2, 4])
-            .unwrap()
-            .to_tensor();
-        assert_eq!(b.rows(0, 1), b.rows(1, 2));
-    }
-
-    #[test]
-    fn strided_matmul_bit_equals_materialised() {
-        // Operand windows cut out of larger buffers, then multiplied
-        // zero-copy — must be bit-identical to materialised copies.
-        let big_a = Tensor::from_fn(&[9, 11], |i| (i as f32 * 0.17).sin());
-        let big_b = Tensor::from_fn(&[12, 7], |i| (i as f32 * 0.29).cos());
-        let a = big_a.view().slice(0, 2, 7).unwrap().slice(1, 3, 9).unwrap();
-        let b = big_b.view().slice(0, 1, 7).unwrap().slice(1, 2, 6).unwrap();
-        let got = a.matmul(&b);
-        let want = a.to_tensor().matmul(&b.to_tensor());
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn broadcast_stride0_lhs_matmul_repeats_rows() {
-        // A stride-0 left operand: every output row identical, computed
-        // through the same packing path as any strided operand.
-        let row = Tensor::from_fn(&[1, 6], |i| i as f32 - 2.5);
-        let b = Tensor::from_fn(&[6, 3], |i| (i as f32 * 0.11).cos());
-        let a = row.view().broadcast_to(&[4, 6]).unwrap();
-        let got = a.matmul(&b.view());
-        let single = row.matmul(&b);
-        for r in 0..4 {
-            assert_eq!(got.rows(r, r + 1), single.data(), "row {r}");
-        }
+    #[should_panic(expected = "matmul lhs rank 3")]
+    fn matmul_of_rank3_view_panics() {
+        let _ = seq(&[2, 2, 2]).view().matmul(&seq(&[2, 2]).view());
     }
 }

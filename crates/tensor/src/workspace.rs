@@ -61,15 +61,7 @@ impl Workspace {
     /// preferring the smallest pooled buffer that fits it without wasting
     /// more than half its capacity.
     pub fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
-        match best_fit(&self.free_f32, len) {
-            Some(i) => {
-                let mut v = self.free_f32.swap_remove(i);
-                v.clear();
-                v.resize(len, 0.0);
-                v
-            }
-            None => vec![0.0; len],
-        }
+        take_zeroed_from(&mut self.free_f32, len)
     }
 
     /// Takes an `f32` buffer of exactly `len` elements with **unspecified
@@ -78,81 +70,26 @@ impl Workspace {
     /// [`take_zeroed`](Workspace::take_zeroed) matters for large packing
     /// buffers on hot paths.
     pub fn take_dirty(&mut self, len: usize) -> Vec<f32> {
-        match best_fit(&self.free_f32, len) {
-            Some(i) => {
-                let mut v = self.free_f32.swap_remove(i);
-                if v.len() >= len {
-                    v.truncate(len); // O(1): keep old contents, no fill
-                } else {
-                    v.resize(len, 0.0); // fills only the grown region
-                }
-                v
-            }
-            None => vec![0.0; len],
-        }
+        take_dirty_from(&mut self.free_f32, len)
     }
 
     /// Takes a zero-filled `usize` buffer of exactly `len` elements.
     pub fn take_indices(&mut self, len: usize) -> Vec<usize> {
-        match best_fit(&self.free_idx, len) {
-            Some(i) => {
-                let mut v = self.free_idx.swap_remove(i);
-                v.clear();
-                v.resize(len, 0);
-                v
-            }
-            None => vec![0; len],
-        }
+        take_zeroed_from(&mut self.free_idx, len)
     }
 
     /// Takes an `i8` buffer of exactly `len` elements with **unspecified
     /// contents** (the quantized path's packing scratch — always fully
     /// overwritten before reading).
     pub fn take_dirty_i8(&mut self, len: usize) -> Vec<i8> {
-        match best_fit(&self.free_i8, len) {
-            Some(i) => {
-                let mut v = self.free_i8.swap_remove(i);
-                if v.len() >= len {
-                    v.truncate(len);
-                } else {
-                    v.resize(len, 0);
-                }
-                v
-            }
-            None => vec![0; len],
-        }
+        take_dirty_from(&mut self.free_i8, len)
     }
 
     /// Takes an `i32` buffer of exactly `len` elements with **unspecified
     /// contents** (the quantized path's cross-block accumulator, which
     /// stores — not adds — on the first depth block).
     pub fn take_dirty_i32(&mut self, len: usize) -> Vec<i32> {
-        match best_fit(&self.free_i32, len) {
-            Some(i) => {
-                let mut v = self.free_i32.swap_remove(i);
-                if v.len() >= len {
-                    v.truncate(len);
-                } else {
-                    v.resize(len, 0);
-                }
-                v
-            }
-            None => vec![0; len],
-        }
-    }
-
-    /// Takes a zero-filled `i32` buffer of exactly `len` elements (the
-    /// quantized path's cross-block accumulator).
-    pub fn take_zeroed_i32(&mut self, len: usize) -> Vec<i32> {
-        match best_fit(&self.free_i32, len) {
-            Some(i) => {
-                let mut v = self.free_i32.swap_remove(i);
-                v.clear();
-                v.resize(len, 0);
-                v
-            }
-            None => vec![0; len],
-        }
+        take_dirty_from(&mut self.free_i32, len)
     }
 
     /// Takes a zero tensor with the given dims, backed by a pooled buffer.
@@ -178,30 +115,22 @@ impl Workspace {
 
     /// Returns a raw `f32` buffer to the arena.
     pub fn recycle_vec(&mut self, v: Vec<f32>) {
-        if v.capacity() > 0 && self.free_f32.len() < MAX_POOLED {
-            self.free_f32.push(v);
-        }
+        recycle_into(&mut self.free_f32, v);
     }
 
     /// Returns a `usize` buffer to the arena.
     pub fn recycle_indices(&mut self, v: Vec<usize>) {
-        if v.capacity() > 0 && self.free_idx.len() < MAX_POOLED {
-            self.free_idx.push(v);
-        }
+        recycle_into(&mut self.free_idx, v);
     }
 
     /// Returns an `i8` buffer to the arena.
     pub fn recycle_i8(&mut self, v: Vec<i8>) {
-        if v.capacity() > 0 && self.free_i8.len() < MAX_POOLED {
-            self.free_i8.push(v);
-        }
+        recycle_into(&mut self.free_i8, v);
     }
 
     /// Returns an `i32` buffer to the arena.
     pub fn recycle_i32(&mut self, v: Vec<i32>) {
-        if v.capacity() > 0 && self.free_i32.len() < MAX_POOLED {
-            self.free_i32.push(v);
-        }
+        recycle_into(&mut self.free_i32, v);
     }
 
     /// Number of buffers currently pooled (all kinds).
@@ -250,6 +179,44 @@ fn best_fit<T>(pool: &[Vec<T>], len: usize) -> Option<usize> {
         }
     }
     best.map(|(i, _)| i)
+}
+
+/// Takes a zero-filled buffer of exactly `len` elements from `pool`
+/// (see [`best_fit`]), or allocates one.
+fn take_zeroed_from<T: Copy + Default>(pool: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
+    match best_fit(pool, len) {
+        Some(i) => {
+            let mut v = pool.swap_remove(i);
+            v.clear();
+            v.resize(len, T::default());
+            v
+        }
+        None => vec![T::default(); len],
+    }
+}
+
+/// Takes a buffer of exactly `len` elements with unspecified contents from
+/// `pool` (see [`best_fit`]), or allocates one.
+fn take_dirty_from<T: Copy + Default>(pool: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
+    match best_fit(pool, len) {
+        Some(i) => {
+            let mut v = pool.swap_remove(i);
+            if v.len() >= len {
+                v.truncate(len); // O(1): keep old contents, no fill
+            } else {
+                v.resize(len, T::default()); // fills only the grown region
+            }
+            v
+        }
+        None => vec![T::default(); len],
+    }
+}
+
+/// Pools `v` unless it holds no allocation or `pool` is full.
+fn recycle_into<T>(pool: &mut Vec<Vec<T>>, v: Vec<T>) {
+    if v.capacity() > 0 && pool.len() < MAX_POOLED {
+        pool.push(v);
+    }
 }
 
 impl Clone for Workspace {

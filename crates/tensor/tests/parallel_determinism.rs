@@ -103,6 +103,13 @@ proptest! {
     }
 
     #[test]
+    fn transposed_both_view_matmul_is_thread_count_invariant(seed in 0u64..1000, k in 1usize..300, m in 1usize..16, n in 1usize..40) {
+        let a = random_tensor(seed, &[k, m]);
+        let b = random_tensor(seed ^ 4, &[n, k]);
+        assert_thread_invariant(|| a.view().t().matmul(&b.view().t()))?;
+    }
+
+    #[test]
     fn ragged_gemm_shapes_are_thread_count_invariant(seed in 0u64..1000) {
         // All three layouts (dense, Aᵀ view, Bᵀ view) over every
         // deliberately-misaligned shape.
@@ -116,47 +123,6 @@ proptest! {
             let b_t = random_tensor(s ^ 3, &[n, k]);
             assert_thread_invariant(|| a.view().matmul(&b_t.view().t()))?;
         }
-    }
-
-    #[test]
-    fn strided_window_view_matmul_is_thread_count_invariant(
-        seed in 0u64..1000,
-        m in 1usize..16,
-        k in 1usize..48,
-        n in 1usize..120,
-        pad in 1usize..7,
-    ) {
-        // Non-contiguous operands: interior column windows of wider
-        // buffers, so every packed row is read at a row stride larger than
-        // the logical width. The engine must still fix each element's
-        // accumulation chain by (k, KC) alone.
-        let a_wide = random_tensor(seed, &[m, k + 2 * pad]);
-        let b_wide = random_tensor(seed ^ 11, &[k, n + pad]);
-        let a = a_wide.view().narrow(1, pad, k).unwrap();
-        let b = b_wide.view().narrow(1, 0, n).unwrap();
-        assert_thread_invariant(|| a.matmul(&b))?;
-        // The same windows through the transposed path.
-        assert_thread_invariant(|| b.t().matmul(&a.t()))?;
-    }
-
-    #[test]
-    fn broadcast_elementwise_is_thread_count_invariant(
-        seed in 0u64..1000,
-        n in 1usize..40,
-        f in 1usize..2000,
-    ) {
-        // Stride-0 broadcast reads through the parallel gather path: a
-        // [f] bias over [n, f] rows and a [n, 1] column over the same.
-        let x = random_tensor(seed, &[n, f]);
-        let bias = random_tensor(seed ^ 12, &[f]);
-        let col = random_tensor(seed ^ 13, &[n, 1]);
-        assert_thread_invariant(|| x.view().add(&bias.view()).unwrap())?;
-        assert_thread_invariant(|| x.view().mul(&col.view().broadcast_to(&[n, f]).unwrap()).unwrap())?;
-        assert_thread_invariant(|| {
-            let mut acc = x.clone();
-            acc.add_assign_broadcast(&bias.view()).unwrap();
-            acc
-        })?;
     }
 
     #[test]

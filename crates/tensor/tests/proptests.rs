@@ -53,16 +53,37 @@ proptest! {
     }
 
     #[test]
-    fn broadcast_add_matches_explicit_tiling(
-        n in 1usize..8, f in 1usize..16, seed in 0u64..1000,
-    ) {
+    fn transposed_both_view_matmul_consistent(a in arb_tensor(6), seed in 0u64..1000) {
         let mut rng = Prng::new(seed);
-        let x = Tensor::from_fn(&[n, f], |_| rng.uniform(-5.0, 5.0));
-        let bias = Tensor::from_fn(&[f], |_| rng.uniform(-5.0, 5.0));
-        let tiled = Tensor::from_fn(&[n, f], |i| bias.data()[i % f]);
-        let lhs = x.view().add(&bias.view()).unwrap();
-        let rhs = x.add(&tiled);
+        let b = Tensor::from_fn(&[3, a.dim(0)], |_| rng.uniform(-5.0, 5.0));
+        let lhs = a.view().t().matmul(&b.view().t());
+        let rhs = a.transpose().matmul(&b.transpose());
         prop_assert_eq!(lhs, rhs);
+    }
+
+    #[test]
+    fn batched_fc_rows_equal_single_row_products(x in arb_tensor(8), seed in 0u64..1000) {
+        // The FC layer's `x · Wᵀ` call shape: row i of the batched product
+        // is bit-identical to the product of row i alone.
+        let mut rng = Prng::new(seed);
+        let w = Tensor::from_fn(&[5, x.dim(1)], |_| rng.uniform(-5.0, 5.0));
+        let batched = x.view().matmul(&w.view().t());
+        for i in 0..x.dim(0) {
+            let alone = x.slice_rows(i, i + 1).view().matmul(&w.view().t());
+            prop_assert_eq!(alone.data(), batched.row(i));
+        }
+    }
+
+    #[test]
+    fn rows_and_example_window_the_storage(a in arb_tensor(8), lo in 0usize..8, len in 0usize..8) {
+        let (n, f) = (a.dim(0), a.dim(1));
+        let lo = lo.min(n);
+        let hi = (lo + len).min(n);
+        let want: Vec<f32> = (lo..hi).flat_map(|r| (0..f).map(move |c| (r, c))).map(|(r, c)| a.at2(r, c)).collect();
+        prop_assert_eq!(a.rows(lo, hi), &want[..]);
+        if lo < n {
+            prop_assert_eq!(a.example(lo), a.rows(lo, lo + 1));
+        }
     }
 
     #[test]
