@@ -38,6 +38,13 @@
 # unused-pub.allow. A new unused name fails, and so does an allow-listed
 # name that is now used or gone, so the list can only shrink.
 #
+# The doc stage runs a second ratchet, on timer waits: it counts, per
+# file under crates/*/src, the `thread::sleep` calls that come before the
+# file's first `#[cfg(test)]` and compares the counts with
+# sleep-sites.allow. A new sleep fails, and so does a removed one until
+# its line is lowered or dropped, so the list can only shrink: a thread
+# that must notice something waits on a channel, a socket or a condvar.
+#
 # The bench stage is a perf regression gate: it re-runs
 # `bench_kernels --quick` and fails if any committed timing metric in
 # BENCH_kernels.json regressed by more than BENCH_TOLERANCE (default
@@ -101,6 +108,15 @@ unused_pub_fns() {
     done
 }
 
+# Prints "file count" for each crates/*/src file whose code before its
+# first `#[cfg(test)]` calls `thread::sleep`.
+sleep_sites() {
+    local file
+    for file in $(find crates/*/src -name '*.rs'); do
+        awk '/#\[cfg\(test\)\]/ { exit } /thread::sleep/ { n++ } END { if (n) print FILENAME, n }' "$file"
+    done
+}
+
 stage_doc() {
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
     # Compiled doc-examples are part of the API surface (TensorView's
@@ -146,6 +162,16 @@ stage_doc() {
         echo "UNUSED PUB FN drift. '<': a new unused pub fn (use it, make it"
         echo "pub(crate) or delete it); '>': an allow-listed name that is now used"
         echo "or gone (drop its line from unused-pub.allow):"
+        echo "$drift"
+        missing=1
+    fi
+    echo "==> sleep-site ratchet (thread::sleep in crates/*/src vs sleep-sites.allow)"
+    drift=$(diff <(sleep_sites | LC_ALL=C sort) \
+        <(grep -v '^#' sleep-sites.allow | LC_ALL=C sort) || true)
+    if [ -n "$drift" ]; then
+        echo "SLEEP SITE drift. '<': a file sleeps more than allowed (wait on an"
+        echo "event instead); '>': an allowed sleep is gone (lower or drop its"
+        echo "line in sleep-sites.allow):"
         echo "$drift"
         missing=1
     fi

@@ -3,8 +3,8 @@
 //!
 //! Every node runs a background [`Announcer`](fluid_serve::Announcer)
 //! that Joins and heartbeats every router, every router runs a TCP
-//! front-end ([`route_tcp`]) plus — when it has peers — a gossip thread
-//! ([`spawn_gossip`]), and nothing is wired by hand: a router learns the
+//! front-end plus — when it has peers — a gossip thread (together, a
+//! [`RouterNode`]), and nothing is wired by hand: a router learns the
 //! cluster from announcements and from its peers, and clients learn to
 //! survive a router by retrying across the router list. A "static"
 //! cluster is this harness with `routers: 1`: the same nodes, announced
@@ -16,24 +16,31 @@
 
 use crate::gossip::{spawn_gossip, GossipConfig};
 use crate::node::ServeNode;
-use crate::router::{route_tcp, Router, RouterConfig};
+use crate::router::{route_tcp, FrontConns, Router, RouterConfig};
 use fluid_models::{ConvNet, SubnetSpec};
 use fluid_serve::{AnnounceConfig, Announcer, ServeConfig, ServeError};
-use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// One router process-in-miniature: the [`Router`] state, its TCP
 /// front-end thread, and (optionally) its gossip thread, with a kill
 /// switch that takes all of it down at once — the unit the drill kills
 /// to prove router loss is invisible.
+///
+/// Every thread blocks on an event, never on a timer: the front-end in
+/// `accept`, each client connection in a receive, the gossip thread on a
+/// stop channel between exchanges. [`kill`](RouterNode::kill) delivers
+/// one event to each, so it returns as soon as the threads have run.
 pub struct RouterNode {
     router: Router,
     addr: String,
-    shutdown: Arc<AtomicBool>,
-    front: Option<std::thread::JoinHandle<std::io::Result<()>>>,
-    gossip: Option<std::thread::JoinHandle<()>>,
+    conns: Arc<FrontConns>,
+    front: Option<JoinHandle<std::io::Result<()>>>,
+    /// The gossip thread and its stop channel's sender, whose drop stops it.
+    gossip: Option<(Sender<()>, JoinHandle<()>)>,
 }
 
 impl RouterNode {
@@ -53,16 +60,19 @@ impl RouterNode {
             .local_addr()
             .map_err(|e| ServeError::Transport(e.to_string()))?
             .to_string();
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let conns = Arc::new(FrontConns::default());
         let front = {
-            let (router, shutdown) = (router.clone(), Arc::clone(&shutdown));
-            std::thread::spawn(move || route_tcp(listener, router, shutdown))
+            let (router, conns) = (router.clone(), Arc::clone(&conns));
+            std::thread::spawn(move || route_tcp(listener, router, conns))
         };
-        let gossip = gossip.map(|cfg| spawn_gossip(router.clone(), cfg, Arc::clone(&shutdown)));
+        let gossip = gossip.map(|cfg| {
+            let (stop, stopped) = mpsc::channel();
+            (stop, spawn_gossip(router.clone(), cfg, stopped))
+        });
         Ok(RouterNode {
             router,
             addr,
-            shutdown,
+            conns,
             front: Some(front),
             gossip,
         })
@@ -95,16 +105,24 @@ impl RouterNode {
         self.front.is_some()
     }
 
-    /// Kills the router: front-end and gossip stop, open client
-    /// connections die. Idempotent. The [`Router`] state survives (it is
-    /// shared), but nothing serves it anymore — from a client's point of
-    /// view this router is gone.
+    /// Kills the router: open client connections are shut down, the
+    /// gossip thread is stopped, and the front-end stops accepting and
+    /// closes its port. Idempotent. A request being routed when the kill
+    /// lands still runs to its node; its reply cannot be delivered. The
+    /// [`Router`] state survives (it is shared), but nothing serves it
+    /// anymore — from a client's point of view this router is gone.
     pub fn kill(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.conns.close();
+        let gossip = self.gossip.take().map(|(stop, thread)| {
+            drop(stop);
+            thread
+        });
         if let Some(front) = self.front.take() {
+            // The accept blocks: one connection wakes it to see the close.
+            let _ = TcpStream::connect(&self.addr);
             let _ = front.join();
         }
-        if let Some(gossip) = self.gossip.take() {
+        if let Some(gossip) = gossip {
             let _ = gossip.join();
         }
     }
@@ -501,6 +519,7 @@ impl std::fmt::Debug for DynamicCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fluid_dist::{Message, TcpTransport, Transport};
     use fluid_models::{Arch, FluidModel};
     use fluid_serve::TcpClient;
     use fluid_tensor::{Prng, Tensor};
@@ -551,6 +570,71 @@ mod tests {
             let got = client.infer_keyed(5, &x).expect("routed infer");
             assert!(got.allclose(&expected, 0.0), "router {r} diverged");
         }
+    }
+
+    /// Best of three: one scheduling hiccup on a loaded host cannot fail
+    /// a latency bound, while a front-end that polls on a timer misses it
+    /// every time.
+    fn best_of_three(mut run: impl FnMut() -> Duration) -> Duration {
+        (0..3).map(|_| run()).min().expect("three runs")
+    }
+
+    /// Dials `addr`, joins node `n0`, and returns how long the ack took
+    /// and the still-open link.
+    fn join_acked(addr: &str) -> (Duration, TcpTransport) {
+        let t0 = Instant::now();
+        let mut link = TcpTransport::new(TcpStream::connect(addr).expect("connect")).expect("link");
+        let join = Message::Join {
+            node: "n0".into(),
+            addr: "127.0.0.1:1".into(),
+        };
+        link.send(&join).expect("send Join");
+        let ack = link.recv_timeout(PATIENCE).expect("recv");
+        assert_eq!(ack, Some(Message::MembershipAck { epoch: 1 }));
+        (t0.elapsed(), link)
+    }
+
+    #[test]
+    fn a_fresh_router_acks_a_join_on_a_new_connection_at_once() {
+        let took = best_of_three(|| {
+            let router = RouterNode::spawn(Router::new(RouterConfig::default()), None)
+                .expect("spawn router");
+            // Let the front-end reach its accept first: a polling accept
+            // would now be asleep.
+            std::thread::sleep(Duration::from_millis(10));
+            join_acked(router.addr()).0
+        });
+        assert!(took < Duration::from_millis(20), "Join ack took {took:?}");
+    }
+
+    #[test]
+    fn kill_returns_at_once_with_an_idle_client_and_a_live_gossip_peer() {
+        let took = best_of_three(|| {
+            let peer = RouterNode::spawn(
+                Router::new(RouterConfig {
+                    id: "router-peer".into(),
+                    ..RouterConfig::default()
+                }),
+                None,
+            )
+            .expect("spawn peer");
+            let gossip = GossipConfig::new(vec![peer.addr().to_string()]);
+            let mut router = RouterNode::spawn(Router::new(RouterConfig::default()), Some(gossip))
+                .expect("spawn router");
+            // The idle client: one acked exchange proves its connection
+            // thread is up, then it says nothing more.
+            let (_, _idle) = join_acked(router.addr());
+            // The gossip link is live once the peer has learned n0.
+            let deadline = Instant::now() + PATIENCE;
+            while peer.router().member_ids().is_empty() {
+                assert!(Instant::now() < deadline, "gossip never reached the peer");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let t0 = Instant::now();
+            router.kill();
+            t0.elapsed()
+        });
+        assert!(took < Duration::from_millis(20), "kill took {took:?}");
     }
 
     #[test]

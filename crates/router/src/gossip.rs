@@ -19,8 +19,7 @@ use fluid_dist::{TcpTransport, Transport};
 use fluid_serve::ServeError;
 use fluid_tensor::Prng;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::Duration;
 
 /// Where and how often one router gossips.
@@ -56,14 +55,15 @@ impl GossipConfig {
     }
 }
 
-/// Spawns the gossip thread for `router`. The thread exits when
-/// `shutdown` flips (checked every 10 ms, so teardown is prompt).
-pub fn spawn_gossip(
+/// Spawns the gossip thread for `router`. Nothing is ever sent on `stop`:
+/// dropping its sender ends the thread's wait between exchanges at once,
+/// and the thread exits.
+pub(crate) fn spawn_gossip(
     router: Router,
     cfg: GossipConfig,
-    shutdown: Arc<AtomicBool>,
+    stop: Receiver<()>,
 ) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || gossip_loop(&router, &cfg, &shutdown))
+    std::thread::spawn(move || gossip_loop(&router, &cfg, &stop))
 }
 
 /// Connects to one peer within the config's bound.
@@ -79,10 +79,10 @@ fn dial(addr: &str, timeout: Duration) -> Result<TcpTransport, ServeError> {
     TcpTransport::new(stream).map_err(|e| ServeError::Transport(e.to_string()))
 }
 
-fn gossip_loop(router: &Router, cfg: &GossipConfig, shutdown: &AtomicBool) {
+fn gossip_loop(router: &Router, cfg: &GossipConfig, stop: &Receiver<()>) {
     let mut rng = Prng::new(cfg.seed);
     let mut links: Vec<Option<TcpTransport>> = cfg.peers.iter().map(|_| None).collect();
-    while !shutdown.load(Ordering::SeqCst) {
+    loop {
         if !cfg.peers.is_empty() {
             let i = (rng.next_u64() % cfg.peers.len() as u64) as usize;
             if links[i].is_none() {
@@ -104,12 +104,11 @@ fn gossip_loop(router: &Router, cfg: &GossipConfig, shutdown: &AtomicBool) {
                 }
             }
         }
-        // Sleep in small steps so shutdown takes effect promptly.
-        let mut slept = Duration::ZERO;
-        while slept < cfg.interval && !shutdown.load(Ordering::SeqCst) {
-            let step = Duration::from_millis(10).min(cfg.interval - slept);
-            std::thread::sleep(step);
-            slept += step;
+        if !matches!(
+            stop.recv_timeout(cfg.interval),
+            Err(RecvTimeoutError::Timeout)
+        ) {
+            return;
         }
     }
 }

@@ -10,8 +10,8 @@
 //! `docs/SERVING.md` and the router data path in `docs/ARCHITECTURE.md`).
 //!
 //! ```text
-//! client ─▶ route_tcp ─▶ Router::infer ─▶ admission cap ─▶ shard = hash(key)
-//!                                           │ sheds            │
+//! client ─▶ RouterNode ─▶ Router::infer ─▶ admission cap ─▶ shard = hash(key)
+//!           (front-end)                     │ sheds            │
 //!                                           ▼                  ▼ replicas (HRW)
 //!                                        Reject       least-loaded up node
 //!                                                     │ retry next on failure
@@ -35,12 +35,14 @@
 //!   map, heartbeats double as implicit re-joins (a restarted node is
 //!   re-addressed by its next announcement), and leaves are tombstoned so
 //!   stale gossip cannot resurrect a departed member.
-//! * **Replicated routers** ([`spawn_gossip`], [`DynamicCluster`]): N
+//! * **Replicated routers** ([`RouterNode`], [`DynamicCluster`]): N
 //!   routers converge on membership, health verdicts, and per-shard load
 //!   by push-pull anti-entropy gossip — no primary, any router serves any
 //!   request, and a killed router is invisible to clients retrying across
 //!   the router list. One router is the same cluster without the gossip
-//!   thread.
+//!   thread. A [`RouterNode`]'s threads wait on events, not timers: a
+//!   connection is served as it arrives, and a kill closes the port, the
+//!   open connections and the gossip thread at once.
 //! * **Rolling swap** ([`DynamicCluster::rolling_swap`]): cordon on every
 //!   router → drain → in-place
 //!   [`hot_swap`](fluid_serve::ElasticHandle::hot_swap) → uncordon, one
@@ -67,8 +69,8 @@ mod router;
 
 pub use cluster::{DynamicCluster, DynamicClusterConfig, RouterNode};
 pub use drill::{run_drill, DrillConfig, DrillReport};
-pub use gossip::{spawn_gossip, GossipConfig};
+pub use gossip::GossipConfig;
 pub use health::HealthState;
 pub use node::ServeNode;
 pub use ring::ShardMap;
-pub use router::{route_tcp, NodeStatus, Router, RouterConfig, RouterMetrics};
+pub use router::{NodeStatus, Router, RouterConfig, RouterMetrics};

@@ -29,14 +29,16 @@ use fluid_perf::LatencyHistogram;
 use fluid_serve::{ServeError, TcpClient};
 use fluid_tensor::Tensor;
 use std::collections::HashMap;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-/// How often the front-end accept loop and connection threads poll for
-/// shutdown (mirrors `fluid_serve::serve_tcp`).
-const POLL: Duration = Duration::from_millis(100);
+/// How long one receive on an idle front-end connection blocks before it
+/// re-arms. Any long bound will do: a frame, the peer's EOF or
+/// [`FrontConns::close`] ends the wait. Not `Duration::MAX`, which would
+/// overflow `Instant + timeout`.
+const IDLE_WAIT: Duration = Duration::from_secs(3600);
 
 /// Locks a mutex, recovering the guard if a holder panicked — none of the
 /// router's guarded state can be left logically inconsistent by a panic
@@ -1079,16 +1081,6 @@ impl Router {
     }
 }
 
-#[cfg(test)]
-impl Router {
-    /// Pins one phantom in-flight request on a living node, so a drain
-    /// over it can never finish.
-    pub(crate) fn pin_in_flight(&self, id: &str) {
-        let entry = self.living_entry(id).expect("living node");
-        entry.in_flight.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
 impl std::fmt::Debug for Router {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let m = read_lock(&self.inner.membership);
@@ -1100,9 +1092,54 @@ impl std::fmt::Debug for Router {
     }
 }
 
-/// Serves the router over TCP until `shutdown` flips: one client-facing
+/// A front-end's open client connections, held so that closing the
+/// front-end can end them. Each accepted stream is kept as a `try_clone`
+/// under a fresh key and removed when its connection thread exits, so the
+/// set never outgrows the open connections.
+#[derive(Debug, Default)]
+pub(crate) struct FrontConns {
+    closed: AtomicBool,
+    /// The next key, and the open streams by key.
+    open: Mutex<(u64, HashMap<u64, TcpStream>)>,
+}
+
+impl FrontConns {
+    /// Keeps `stream` and returns its key, or `None` once the front-end is
+    /// closed. The flag is read under the lock [`close`](Self::close)
+    /// takes, so a stream is either refused here or shut down there.
+    fn register(&self, stream: TcpStream) -> Option<u64> {
+        let mut open = lock(&self.open);
+        if self.closed.load(Ordering::SeqCst) {
+            return None;
+        }
+        let key = open.0;
+        open.0 += 1;
+        open.1.insert(key, stream);
+        Some(key)
+    }
+
+    fn remove(&self, key: u64) {
+        lock(&self.open).1.remove(&key);
+    }
+
+    /// Refuses every later connection and shuts down the open ones: each
+    /// connection thread's blocked receive returns at once.
+    pub(crate) fn close(&self) {
+        self.closed.store(true, Ordering::SeqCst);
+        for stream in lock(&self.open).1.values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// Serves the router over TCP until `conns` is closed: one client-facing
 /// endpoint of the cluster, speaking the same wire dialect as a plain
 /// serve node plus the membership/gossip frames.
+///
+/// The accept blocks, so a connection is served the moment it arrives.
+/// Whoever closes `conns` must then connect once to the listener: the
+/// loop sees the close on that accept, drops the connection, and joins
+/// the connection threads, which the close has already woken.
 ///
 /// [`Message::InferKeyed`] routes by its `shard_key`; a plain
 /// [`Message::Infer`] is accepted too, using `request_id` as the key (so
@@ -1114,45 +1151,48 @@ impl std::fmt::Debug for Router {
 ///
 /// # Errors
 ///
-/// Returns the listener's I/O error; per-connection failures only end
-/// that connection.
-pub fn route_tcp(
+/// Returns the listener's I/O error once the open connections have ended;
+/// per-connection failures only end that connection.
+pub(crate) fn route_tcp(
     listener: TcpListener,
     router: Router,
-    shutdown: Arc<AtomicBool>,
+    conns: Arc<FrontConns>,
 ) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let mut connections = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let router = router.clone();
-                let shutdown = Arc::clone(&shutdown);
-                connections.push(std::thread::spawn(move || {
-                    let _ = route_connection(stream, &router, &shutdown);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                connections.retain(|c: &std::thread::JoinHandle<()>| !c.is_finished());
-                std::thread::sleep(POLL)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
+    listener.set_nonblocking(false)?;
+    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let result = loop {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => break Err(e),
+        };
+        // Reap finished connection threads so a long-lived router does not
+        // keep one JoinHandle per client forever.
+        connections.retain(|c| !c.is_finished());
+        // A stream that cannot be cloned could not be closed by a kill:
+        // refuse it rather than risk a connection that outlives the router.
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
+        let Some(key) = conns.register(clone) else {
+            break Ok(());
+        };
+        let (router, conns) = (router.clone(), Arc::clone(&conns));
+        connections.push(std::thread::spawn(move || {
+            let _ = route_connection(stream, &router);
+            conns.remove(key);
+        }));
+    };
     for c in connections {
         let _ = c.join();
     }
-    Ok(())
+    result
 }
 
 /// One front-end connection: route each request, answer `Logits` or
-/// `Reject`; apply membership and gossip frames in place.
-fn route_connection(
-    stream: TcpStream,
-    router: &Router,
-    shutdown: &AtomicBool,
-) -> Result<(), ServeError> {
+/// `Reject`; apply membership and gossip frames in place. Returns when the
+/// peer hangs up or sends `Shutdown`, or when the stream is shut down.
+fn route_connection(stream: TcpStream, router: &Router) -> Result<(), ServeError> {
     let mut transport =
         TcpTransport::new(stream).map_err(|e| ServeError::Transport(e.to_string()))?;
     let send = |transport: &mut TcpTransport, msg: &Message| {
@@ -1161,10 +1201,7 @@ fn route_connection(
             .map_err(|e| ServeError::Transport(e.to_string()))
     };
     loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let (request_id, key, tenant, input) = match transport.recv_timeout(POLL) {
+        let (request_id, key, tenant, input) = match transport.recv_timeout(IDLE_WAIT) {
             Ok(Some(Message::InferKeyed {
                 request_id,
                 shard_key,
@@ -1224,6 +1261,16 @@ fn route_connection(
             },
         };
         send(&mut transport, &reply)?;
+    }
+}
+
+#[cfg(test)]
+impl Router {
+    /// Pins one phantom in-flight request on a living node, so a drain
+    /// over it can never finish.
+    pub(crate) fn pin_in_flight(&self, id: &str) {
+        let entry = self.living_entry(id).expect("living node");
+        entry.in_flight.fetch_add(1, Ordering::SeqCst);
     }
 }
 

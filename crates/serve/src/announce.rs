@@ -14,13 +14,14 @@
 //! (graceful departure — the routers tombstone the node), while
 //! [`Announcer::abort`] just kills the thread (a crash — the routers find
 //! out the hard way, via health marking). Drills use both, on purpose.
+//! Between ticks the thread waits on its stop channel, so either verdict
+//! takes effect as soon as the current tick's exchanges finish.
 
 use crate::error::ServeError;
 use crate::server::ServerHandle;
 use fluid_dist::{Message, TcpTransport, Transport};
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::time::Duration;
 
 /// What an [`Announcer`] announces, where, and how often.
@@ -54,15 +55,18 @@ impl AnnounceConfig {
 }
 
 /// How the announcer thread should wind down.
-const STOP_RUN: u8 = 0;
-const STOP_LEAVE: u8 = 1;
-const STOP_ABORT: u8 = 2;
+enum Stop {
+    /// Send [`Message::Leave`] to every reachable router, then exit.
+    Leave,
+    /// Exit without telling anyone.
+    Abort,
+}
 
 /// A background membership announcer for one serve node. See the module
 /// docs for the protocol.
 #[derive(Debug)]
 pub struct Announcer {
-    stop: Arc<std::sync::atomic::AtomicU8>,
+    stop: Sender<Stop>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -70,11 +74,8 @@ impl Announcer {
     /// Spawns the announce thread. `handle` supplies the queue depth each
     /// heartbeat reports.
     pub fn spawn(cfg: AnnounceConfig, handle: ServerHandle) -> Announcer {
-        let stop = Arc::new(std::sync::atomic::AtomicU8::new(STOP_RUN));
-        let thread = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || announce_loop(cfg, handle, &stop))
-        };
+        let (stop, verdict) = mpsc::channel();
+        let thread = std::thread::spawn(move || announce_loop(cfg, handle, &verdict));
         Announcer {
             stop,
             thread: Some(thread),
@@ -84,17 +85,19 @@ impl Announcer {
     /// Graceful departure: sends [`Message::Leave`] to every reachable
     /// router, then joins the thread.
     pub fn stop(mut self) {
-        self.stop.store(STOP_LEAVE, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.finish(Stop::Leave);
     }
 
     /// Crash-style departure: the thread exits without telling anyone.
     /// Routers discover the node's absence through failed traffic.
     pub fn abort(mut self) {
-        self.stop.store(STOP_ABORT, Ordering::SeqCst);
+        self.finish(Stop::Abort);
+    }
+
+    /// Hands the thread its verdict and joins it; the first verdict wins.
+    fn finish(&mut self, how: Stop) {
         if let Some(t) = self.thread.take() {
+            let _ = self.stop.send(how);
             let _ = t.join();
         }
     }
@@ -106,12 +109,7 @@ impl Drop for Announcer {
     ///
     /// [`stop`]: Announcer::stop
     fn drop(&mut self) {
-        self.stop
-            .compare_exchange(STOP_RUN, STOP_LEAVE, Ordering::SeqCst, Ordering::SeqCst)
-            .ok();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.finish(Stop::Leave);
     }
 }
 
@@ -135,32 +133,10 @@ fn acked(link: &mut TcpTransport, msg: &Message, patience: Duration) -> bool {
     link.send(msg).is_ok() && matches!(link.recv_timeout(patience), Ok(Some(_)))
 }
 
-fn announce_loop(cfg: AnnounceConfig, handle: ServerHandle, stop: &std::sync::atomic::AtomicU8) {
+fn announce_loop(cfg: AnnounceConfig, handle: ServerHandle, verdict: &mpsc::Receiver<Stop>) {
     let mut links: Vec<Option<TcpTransport>> = cfg.routers.iter().map(|_| None).collect();
     let mut seq: u64 = 0;
     loop {
-        match stop.load(Ordering::SeqCst) {
-            STOP_RUN => {}
-            STOP_LEAVE => {
-                // Best-effort goodbye on every router we can still reach.
-                for (i, addr) in cfg.routers.iter().enumerate() {
-                    let link = match links[i].take() {
-                        Some(t) => Some(t),
-                        None => dial(&cfg, addr).ok(),
-                    };
-                    if let Some(mut t) = link {
-                        let _ = t.send(&Message::Leave {
-                            node: cfg.node_id.clone(),
-                        });
-                        // Wait briefly for the ack so the Leave is applied
-                        // before teardown proceeds (drills rely on this).
-                        let _ = t.recv_timeout(cfg.connect_timeout);
-                    }
-                }
-                return;
-            }
-            _ => return, // STOP_ABORT: vanish
-        }
         seq += 1;
         let depth = handle.queue_depth() as u32;
         for (i, addr) in cfg.routers.iter().enumerate() {
@@ -194,12 +170,28 @@ fn announce_loop(cfg: AnnounceConfig, handle: ServerHandle, stop: &std::sync::at
                 }
             }
         }
-        // Sleep in small steps so stop verdicts take effect promptly.
-        let mut slept = Duration::ZERO;
-        while slept < cfg.interval && stop.load(Ordering::SeqCst) == STOP_RUN {
-            let step = Duration::from_millis(10).min(cfg.interval - slept);
-            std::thread::sleep(step);
-            slept += step;
+        match verdict.recv_timeout(cfg.interval) {
+            Err(RecvTimeoutError::Timeout) => {}
+            Ok(Stop::Abort) => return, // vanish
+            // A dropped sender without a verdict departs gracefully too.
+            Ok(Stop::Leave) | Err(RecvTimeoutError::Disconnected) => {
+                // Best-effort goodbye on every router we can still reach.
+                for (i, addr) in cfg.routers.iter().enumerate() {
+                    let link = match links[i].take() {
+                        Some(t) => Some(t),
+                        None => dial(&cfg, addr).ok(),
+                    };
+                    if let Some(mut t) = link {
+                        let _ = t.send(&Message::Leave {
+                            node: cfg.node_id.clone(),
+                        });
+                        // Wait briefly for the ack so the Leave is applied
+                        // before teardown proceeds (drills rely on this).
+                        let _ = t.recv_timeout(cfg.connect_timeout);
+                    }
+                }
+                return;
+            }
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::sched::TenantClass;
 use fluid_perf::LatencyHistogram;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -249,8 +249,9 @@ struct HubInner {
     batch_histogram: BTreeMap<usize, u64>,
     latency_s: LatencyHistogram,
     /// Latencies since the last [`MetricsHub::take_recent_latencies`] call —
-    /// the controller's sliding observation window.
-    recent_latency_s: Vec<f64>,
+    /// the controller's sliding observation window. A ring: at
+    /// `RECENT_LATENCY_CAP` each new sample evicts the oldest.
+    recent_latency_s: VecDeque<f64>,
     workers: Vec<WorkerCounters>,
     /// One entry per configured tenant; empty without a tenancy table.
     tenants: Vec<TenantLatCounters>,
@@ -362,18 +363,17 @@ impl MetricsHub {
         for (tenant, l) in latencies {
             let secs = l.as_secs_f64();
             inner.latency_s.record(secs);
-            inner.recent_latency_s.push(secs);
+            // The recent window is bounded: with no controller attached (no
+            // one ever takes it), a long-running server must not leak —
+            // keep only the newest RECENT_LATENCY_CAP samples.
+            if inner.recent_latency_s.len() == RECENT_LATENCY_CAP {
+                inner.recent_latency_s.pop_front();
+            }
+            inner.recent_latency_s.push_back(secs);
             if let Some(t) = inner.tenants.get_mut(*tenant) {
                 t.completed += 1;
                 t.latency_s.record(secs);
             }
-        }
-        // The recent window is bounded: with no controller attached (no
-        // one ever takes it), a long-running server must not leak — keep
-        // only the newest RECENT_LATENCY_CAP samples.
-        let len = inner.recent_latency_s.len();
-        if len > RECENT_LATENCY_CAP {
-            inner.recent_latency_s.drain(..len - RECENT_LATENCY_CAP);
         }
         if let Some(w) = inner.workers.get_mut(slot) {
             w.batches += 1;
@@ -447,7 +447,7 @@ impl MetricsHub {
     /// Drains and returns the latency samples (seconds) recorded since the
     /// previous call — the autoscaler's per-tick observation window.
     pub(crate) fn take_recent_latencies(&self) -> Vec<f64> {
-        std::mem::take(&mut self.lock().recent_latency_s)
+        std::mem::take(&mut self.lock().recent_latency_s).into()
     }
 
     pub(crate) fn snapshot(&self, queue_depth: usize) -> ServeMetrics {
@@ -620,6 +620,9 @@ mod tests {
         }
         let recent = hub.take_recent_latencies();
         assert_eq!(recent.len(), RECENT_LATENCY_CAP);
+        // Oldest first: the first 100 samples were evicted.
+        let oldest = 100.0 * 1e-6;
+        assert!((recent.first().copied().unwrap() - oldest).abs() < 1e-12);
         let newest = (RECENT_LATENCY_CAP + 99) as f64 * 1e-6;
         assert!((recent.last().copied().unwrap() - newest).abs() < 1e-12);
     }

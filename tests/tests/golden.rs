@@ -1,4 +1,5 @@
-//! Golden digests: committed fingerprints of the model's numerics.
+//! Golden digests: committed fingerprints of the model's numerics and of
+//! the wire format.
 //!
 //! Every kernel in this workspace promises bit-identical results at any
 //! thread count and on every dispatched microkernel, so the exact bits of
@@ -7,14 +8,18 @@
 //! value's `to_bits` little-endian bytes (checkpoint bytes are digested
 //! as-is). A refactor that claims to be bit-neutral passes unchanged; one
 //! that moves a single bit anywhere in the forward or training path fails
-//! here instead of drifting silently.
+//! here instead of drifting silently. The same holds for the bytes
+//! `Message::encode` puts on the wire, one seeded message per tag: a
+//! peer built from another commit must read them.
 //!
 //! Run on the dispatched kernels and under `FLUID_FORCE_SCALAR=1`: both
 //! legs must read the same digests.
 
+use fluid_dist::{GossipNode, Message, Mode, NamedTensor};
 use fluid_integration_tests::{fresh_paper_fluid, quick_trained_fluid};
-use fluid_models::save_net;
-use fluid_tensor::Tensor;
+use fluid_models::{save_net, BranchSpec};
+use fluid_nn::ChannelRange;
+use fluid_tensor::{Prng, Tensor};
 
 const UPDATE_RULE: &str = "a PR that changes a digest updates it and names the cause in CHANGES.md";
 
@@ -36,6 +41,27 @@ const LOGITS: &[(&str, usize, u64)] = &[
 
 /// `save_net` bytes after the seeded `train_nested` run on `Arch::tiny_28()`.
 const TRAINED_CHECKPOINT: u64 = 0xd50b5337f688a6c1;
+
+/// `(wire tag, digest)` of `Message::encode` for each of [`seeded_messages`].
+const WIRE: &[(u8, u64)] = &[
+    (1, 0x48e71abb96fa62cc),
+    (2, 0xbf379f546b622ade),
+    (3, 0xd7a0514664d51412),
+    (4, 0x964faccd975c6e4a),
+    (5, 0xed9cc52dc54989f2),
+    (6, 0xaf4884bde646aa9d),
+    (7, 0x1f9456a6642c89e8),
+    (8, 0x084db707b5028782),
+    (9, 0xaf63c44c8601c3c4),
+    (10, 0x4978126c7b197346),
+    (11, 0xdb6de48f57da25e6),
+    (12, 0x4ad308a03ed283ec),
+    (13, 0x60f365fd5e8fcd21),
+    (14, 0x44e9ecfaac709add),
+    (15, 0x1db405972cc6aebb),
+    (16, 0x2cae11ed41fef105),
+    (17, 0xde8c78cf546d022e),
+];
 
 /// FNV-1a, 64-bit.
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -79,5 +105,133 @@ fn trained_checkpoint_matches_golden_digest() {
     assert!(
         got == TRAINED_CHECKPOINT,
         "seeded training drifted: checkpoint digest {got:#018x}; {UPDATE_RULE}"
+    );
+}
+
+fn seeded_tensor(rng: &mut Prng, dims: &[usize]) -> Tensor {
+    Tensor::from_fn(dims, |_| rng.uniform(-1.0, 1.0))
+}
+
+fn seeded_gossip_node(rng: &mut Prng, id: &str) -> GossipNode {
+    GossipNode {
+        id: id.into(),
+        addr: format!("127.0.0.1:{}", 1024 + rng.below(60_000)),
+        alive: rng.chance(0.5),
+        member_version: rng.next_u64(),
+        up: rng.chance(0.5),
+        probe_in_ms: rng.next_u64() as u32,
+        health_version: rng.next_u64(),
+        queue_depth: rng.next_u64() as u32,
+    }
+}
+
+/// One message per wire tag, in tag order, every number drawn from one
+/// seeded stream.
+fn seeded_messages() -> Vec<Message> {
+    let rng = &mut Prng::new(1729);
+    vec![
+        Message::Hello {
+            device: "jetson-0".into(),
+        },
+        Message::DeployBranch {
+            branch: BranchSpec {
+                name: "upper50".into(),
+                channels: vec![ChannelRange::new(2, 4), ChannelRange::new(8, 16)],
+                fc_bias: true,
+            },
+            weights: vec![
+                NamedTensor {
+                    name: "conv0.weight".into(),
+                    tensor: seeded_tensor(rng, &[2, 1, 3, 3]),
+                },
+                NamedTensor {
+                    name: "conv0.bias".into(),
+                    tensor: seeded_tensor(rng, &[2]),
+                },
+            ],
+        },
+        Message::DeployAck {
+            branch_name: "upper50".into(),
+        },
+        Message::Infer {
+            request_id: rng.next_u64(),
+            input: seeded_tensor(rng, &[1, 1, 4, 4]),
+        },
+        Message::Logits {
+            request_id: rng.next_u64(),
+            logits: seeded_tensor(rng, &[2, 10]),
+        },
+        Message::Heartbeat {
+            seq: rng.next_u64(),
+        },
+        Message::HeartbeatAck {
+            seq: rng.next_u64(),
+        },
+        Message::SwitchMode {
+            mode: Mode::HighThroughput,
+        },
+        Message::Shutdown,
+        Message::Reject {
+            request_id: rng.next_u64(),
+            reason: "queue full (cap 64)".into(),
+        },
+        Message::InferKeyed {
+            request_id: rng.next_u64(),
+            shard_key: rng.next_u64(),
+            input: seeded_tensor(rng, &[1, 1, 4, 4]),
+        },
+        Message::InferTenant {
+            request_id: rng.next_u64(),
+            tenant: rng.next_u64(),
+            input: seeded_tensor(rng, &[1, 1, 4, 4]),
+        },
+        Message::Join {
+            node: "node-0".into(),
+            addr: "127.0.0.1:7811".into(),
+        },
+        Message::Leave {
+            node: "node-1".into(),
+        },
+        Message::NodeHeartbeat {
+            node: "node-2".into(),
+            addr: "127.0.0.1:7812".into(),
+            seq: rng.next_u64(),
+            queue_depth: rng.below(64) as u32,
+        },
+        Message::Gossip {
+            from: "router-0".into(),
+            epoch: rng.next_u64(),
+            shard_pending: (0..8).map(|_| rng.below(64) as u32).collect(),
+            nodes: vec![
+                seeded_gossip_node(rng, "node-0"),
+                seeded_gossip_node(rng, "node-1"),
+            ],
+        },
+        Message::MembershipAck {
+            epoch: rng.next_u64(),
+        },
+    ]
+}
+
+#[test]
+fn wire_encoding_matches_golden_digests() {
+    let messages = seeded_messages();
+    let got: Vec<(u8, u64)> = messages
+        .iter()
+        .map(|m| {
+            let bytes = m.encode();
+            assert_eq!(Message::decode(&bytes).expect("decode"), *m, "round trip");
+            (bytes[0], fnv1a(bytes))
+        })
+        .collect();
+    let tags: Vec<u8> = got.iter().map(|&(tag, _)| tag).collect();
+    assert_eq!(tags, (1..=17).collect::<Vec<u8>>(), "one message per tag");
+    let table: String = got
+        .iter()
+        .map(|(t, d)| format!("\n    ({t}, {d:#018x}),"))
+        .collect();
+    assert!(
+        got == WIRE,
+        "wire encoding drifted; {UPDATE_RULE}. Got:{table}"
     );
 }
