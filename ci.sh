@@ -4,13 +4,20 @@
 #
 # Usage:
 #   ./ci.sh                     run every stage
-#   ./ci.sh --fast              inner-loop mode: fmt + clippy + tests
-#                               (skips the slow doc and bench stages)
+#   ./ci.sh --fast              inner-loop mode: runs fmt, clippy and tests
+#                               only (not doc, drill or fairness)
 #   ./ci.sh fmt clippy          run just the named stages
-#   ./ci.sh --update-bench      re-measure and commit a new bench baseline
-#                               (for *intentional* performance changes)
 #
-# Stages: fmt, clippy, doc, tests, drill, fairness, bench.
+# Stages: fmt, clippy, doc, tests, drill, fairness.
+#
+# The tests stage is tier-1 on two kernel-thread legs plus a scalar leg.
+# Tier-1 includes the exact hot-path gates: tests/tests/zero_alloc.rs
+# fails on a single heap allocation in a steady-state serving batch or
+# training step, and tests/tests/quantized_serving.rs fails when int8
+# calibration keeps fewer than 99% of the f32 top-1 decisions. No stage
+# compares a timing with a committed number: performance is judged by
+# `fluidbench compare` over parent/change pairs built in one session
+# (benchmark/README.md).
 #
 # The fairness stage runs the adversarial multi-tenant suite
 # (tests/tests/fairness.rs): a flooding batch tenant vs an interactive
@@ -44,46 +51,24 @@
 # sleep-sites.allow. A new sleep fails, and so does a removed one until
 # its line is lowered or dropped, so the list can only shrink: a thread
 # that must notice something waits on a channel, a socket or a condvar.
-#
-# The bench stage is a perf regression gate: it re-runs
-# `bench_kernels --quick` and fails if any committed timing metric in
-# BENCH_kernels.json regressed by more than BENCH_TOLERANCE (default
-# 0.25 = 25% — wide enough to ride out scheduler noise on a shared CI
-# host, tight enough to catch a real kernel regression). The gate writes
-# its fresh measurements to target/BENCH_kernels.current.json, never over
-# the committed baseline. It then runs the zero-allocation gates: with
-# the bench-only `alloc-count` feature, serve_throughput and
-# training_step swap in a counting global allocator and fail on a single
-# heap allocation in the steady-state serving batch / training step.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-BENCH_TOLERANCE="${BENCH_TOLERANCE:-0.25}"
-UPDATE_BENCH=0
 FAST=0
 STAGES=()
 for arg in "$@"; do
     case "$arg" in
         --fast) FAST=1 ;;
-        --update-bench) UPDATE_BENCH=1 ;;
-        fmt|clippy|doc|tests|drill|fairness|bench) STAGES+=("$arg") ;;
-        *) echo "unknown argument: $arg (stages: fmt clippy doc tests drill fairness bench; flags: --fast --update-bench)"; exit 2 ;;
+        fmt|clippy|doc|tests|drill|fairness) STAGES+=("$arg") ;;
+        *) echo "unknown argument: $arg (stages: fmt clippy doc tests drill fairness; flag: --fast)"; exit 2 ;;
     esac
 done
 if [ "${#STAGES[@]}" -eq 0 ]; then
     if [ "$FAST" -eq 1 ]; then
         STAGES=(fmt clippy tests)
-    elif [ "$UPDATE_BENCH" -eq 1 ]; then
-        STAGES=(bench)
     else
-        STAGES=(fmt clippy doc tests drill fairness bench)
+        STAGES=(fmt clippy doc tests drill fairness)
     fi
-fi
-# --update-bench means the bench stage, whatever else was asked for — it
-# must never be dropped silently (a maintainer would believe the baseline
-# was refreshed when it wasn't).
-if [ "$UPDATE_BENCH" -eq 1 ] && [[ ! " ${STAGES[*]} " == *" bench "* ]]; then
-    STAGES+=(bench)
 fi
 
 stage_fmt() {
@@ -182,7 +167,9 @@ stage_tests() {
     cargo build --release
     # The compute-kernel layer guarantees bit-identical results at any
     # thread count (docs/PERFORMANCE.md); run the whole suite serial and
-    # fanned-out.
+    # fanned-out. Both legs include the zero-allocation gates
+    # (tests/tests/zero_alloc.rs) and the int8 top-1 gate
+    # (tests/tests/quantized_serving.rs).
     FLUID_THREADS=1 cargo test -q
     FLUID_THREADS=4 cargo test -q
     # The scalar leg: FLUID_FORCE_SCALAR=1 pins the scalar microkernels,
@@ -231,19 +218,6 @@ stage_fairness() {
         FLUID_THREADS=1 timeout 300 \
             cargo test -q -p fluid-integration-tests --test fairness
     done
-}
-
-stage_bench() {
-    if [ "$UPDATE_BENCH" -eq 1 ]; then
-        echo "==> re-measuring the committed bench baseline (BENCH_kernels.json)"
-        cargo run --release -p fluid-bench --bin bench_kernels -- --quick
-    else
-        cargo run --release -p fluid-bench --bin bench_kernels -- --quick \
-            --check BENCH_kernels.json --tolerance "$BENCH_TOLERANCE"
-    fi
-    echo "==> zero-allocation gates (counting allocator, steady-state hot paths)"
-    cargo bench -p fluid-bench --features alloc-count --bench serve_throughput
-    cargo bench -p fluid-bench --features alloc-count --bench training_step
 }
 
 TIMING_SUMMARY=""

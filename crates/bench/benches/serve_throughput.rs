@@ -1,170 +1,78 @@
-//! Serving-layer throughput (criterion): what micro-batching and
-//! multi-worker dispatch buy over request-at-a-time serving.
+//! Serving-layer throughput: what micro-batching buys over
+//! request-at-a-time serving.
 //!
-//! Each benchmark pushes one 16-request burst through a live server and
-//! waits for every answer, so the measured time is the burst's makespan:
+//! Each row pushes one 16-request burst through a live one-worker server
+//! and waits for every answer, so the timed unit is the burst's makespan.
+//! The `max_batch` sweep runs on identical hardware with batching off (1)
+//! and on (4, 16); the last row is the no-scheduler floor, one
+//! `[16, 1, 28, 28]` forward on a bare engine.
 //!
-//! * `max_batch` sweep — identical hardware, batching on vs. off;
-//! * worker sweep — 1 vs. 2 engine replicas behind the dispatcher;
-//! * direct engine — the no-scheduler floor for the same 16 inputs.
-//!
-//! With `--features alloc-count` the binary instead becomes a regression
-//! gate: a counting global allocator proves the steady-state serving
-//! compute path (`infer_batch` + output recycle, per dispatched batch)
-//! performs **zero heap allocations** — see `docs/PERFORMANCE.md`.
+//! Run with `cargo bench -p fluid-bench --bench serve_throughput`.
 
-// In alloc-count mode the timing benches are compiled but not run.
-#![cfg_attr(feature = "alloc-count", allow(dead_code))]
-
-use criterion::{criterion_group, Criterion};
+use fluid_bench::median_ms;
 use fluid_models::{Arch, FluidModel};
 use fluid_serve::{Backend, EngineBackend, ServeConfig, Server};
 use fluid_tensor::{Prng, Tensor};
 use std::hint::black_box;
 use std::time::Duration;
 
-#[cfg(feature = "alloc-count")]
-#[global_allocator]
-static ALLOC: fluid_bench::alloc_count::CountingAllocator =
-    fluid_bench::alloc_count::CountingAllocator;
-
 const BURST: usize = 16;
+const WARMUP: usize = 5;
+const REPS: usize = 51;
 
-fn backends(workers: usize) -> Vec<Box<dyn Backend>> {
+fn engine(name: &str) -> EngineBackend {
     let model = FluidModel::new(Arch::paper(), &mut Prng::new(0));
-    (0..workers)
-        .map(|i| {
-            Box::new(EngineBackend::new(
-                &format!("engine{i}"),
-                model.net().clone(),
-                model.spec("combined100").expect("spec").clone(),
-            )) as Box<dyn Backend>
-        })
-        .collect()
+    EngineBackend::new(
+        name,
+        model.net().clone(),
+        model.spec("combined100").expect("spec").clone(),
+    )
 }
 
-fn inputs() -> Vec<Tensor> {
+fn print_row(label: &str, ms: f64) {
+    println!(
+        "{label:<28} {ms:>9.3} {:>12.1} {:>10.0}",
+        ms * 1e3 / BURST as f64,
+        BURST as f64 / (ms / 1e3)
+    );
+}
+
+fn main() {
     let mut rng = Prng::new(7);
-    (0..BURST)
+    let xs: Vec<Tensor> = (0..BURST)
         .map(|_| Tensor::from_fn(&[1, 1, 28, 28], |_| rng.uniform(0.0, 1.0)))
-        .collect()
-}
-
-fn burst(server: &Server, xs: &[Tensor]) {
-    let handle = server.handle();
-    let tickets: Vec<_> = xs
-        .iter()
-        .map(|x| handle.submit(x.clone()).expect("submit"))
         .collect();
-    for t in tickets {
-        black_box(t.wait().expect("served"));
-    }
-}
+    println!("Serving throughput: one {BURST}-request burst, 1 worker (median of {REPS})\n");
+    println!(
+        "{:<28} {:>9} {:>12} {:>10}",
+        "configuration", "burst ms", "us/request", "req/s"
+    );
 
-fn bench_batching(c: &mut Criterion) {
-    let xs = inputs();
-    let mut group = c.benchmark_group("serve: 16-request burst, 1 worker");
     for max_batch in [1usize, 4, 16] {
         let mut cfg = ServeConfig::default();
         cfg.max_batch = max_batch;
         cfg.max_wait = Duration::from_millis(1);
         cfg.queue_cap = 256;
-        let server = Server::start(cfg, backends(1)).expect("start");
-        group.bench_function(format!("max_batch={max_batch}"), |bench| {
-            bench.iter(|| burst(&server, &xs))
+        let server = Server::start(cfg, vec![Box::new(engine("engine0"))]).expect("start");
+        let handle = server.handle();
+        let ms = median_ms(WARMUP, REPS, || {
+            let tickets: Vec<_> = xs
+                .iter()
+                .map(|x| handle.submit(x.clone()).expect("submit"))
+                .collect();
+            for t in tickets {
+                black_box(t.wait().expect("served"));
+            }
         });
-        drop(server);
+        server.shutdown();
+        print_row(&format!("max_batch={max_batch}"), ms);
     }
-    group.finish();
-}
 
-fn bench_dispatch(c: &mut Criterion) {
-    let xs = inputs();
-    let mut group = c.benchmark_group("serve: 16-request burst, max_batch=4");
-    for workers in [1usize, 2] {
-        let mut cfg = ServeConfig::default();
-        cfg.max_batch = 4;
-        cfg.max_wait = Duration::from_millis(1);
-        cfg.queue_cap = 256;
-        let server = Server::start(cfg, backends(workers)).expect("start");
-        group.bench_function(format!("workers={workers}"), |bench| {
-            bench.iter(|| burst(&server, &xs))
-        });
-        drop(server);
-    }
-    group.finish();
-}
-
-fn bench_direct_engine(c: &mut Criterion) {
-    // The no-scheduler floor: one [16, ...] forward pass on a bare engine.
-    let model = FluidModel::new(Arch::paper(), &mut Prng::new(0));
-    let mut backend = EngineBackend::new(
-        "bare",
-        model.net().clone(),
-        model.spec("combined100").expect("spec").clone(),
-    );
-    let mut rng = Prng::new(7);
+    let mut bare = engine("bare");
     let batch = Tensor::from_fn(&[BURST, 1, 28, 28], |_| rng.uniform(0.0, 1.0));
-    c.bench_function("direct engine: one [16,1,28,28] forward", |bench| {
-        bench.iter(|| black_box(backend.infer_batch(&batch).expect("infer")))
+    let ms = median_ms(WARMUP, REPS, || {
+        let out = bare.infer_batch(&batch).expect("infer");
+        bare.recycle_output(black_box(out));
     });
-}
-
-/// The zero-allocation gate over the serving hot path: after warm-up, a
-/// dispatched batch must run the whole engine forward (implicit-GEMM conv,
-/// packed GEMMs, pooling, FC) out of the workspace arena — zero heap
-/// allocations per batch, and therefore per request.
-///
-/// Runs at one kernel thread: the compute path is what's under test (the
-/// pool's queued fan-out boxes one closure per chunk when real cores are
-/// available, which is a property of the pool, not of the kernels).
-#[cfg(feature = "alloc-count")]
-fn assert_zero_alloc_serving() {
-    use fluid_bench::alloc_count;
-
-    fluid_tensor::pool::set_threads(1);
-    let model = FluidModel::new(Arch::paper(), &mut Prng::new(0));
-    let mut backend = EngineBackend::new(
-        "alloc-gate",
-        model.net().clone(),
-        model.spec("combined100").expect("spec").clone(),
-    );
-    let mut rng = Prng::new(7);
-    let batch = Tensor::from_fn(&[8, 1, 28, 28], |_| rng.uniform(0.0, 1.0));
-    // Warm-up: populate the workspace arena to its steady state (buffer
-    // size classes settle over the first few batches).
-    for _ in 0..5 {
-        let out = backend.infer_batch(&batch).expect("warm-up infer");
-        backend.recycle_output(out);
-    }
-    const BATCHES: u64 = 100;
-    let (allocs, ()) = alloc_count::allocations_during(|| {
-        for _ in 0..BATCHES {
-            let out = backend.infer_batch(&batch).expect("steady-state infer");
-            black_box(out.data().len());
-            backend.recycle_output(out);
-        }
-    });
-    assert_eq!(
-        allocs, 0,
-        "steady-state serving compute path allocated {allocs} times over {BATCHES} batches \
-         (expected zero; a kernel or layer has fallen off the workspace arena)"
-    );
-    println!(
-        "alloc-count OK: 0 heap allocations across {BATCHES} steady-state [8,1,28,28] batches"
-    );
-}
-
-criterion_group!(benches, bench_batching, bench_dispatch, bench_direct_engine);
-
-fn main() {
-    // In alloc-count mode the binary is the allocation gate, not a timing
-    // run (the counting allocator would skew timings anyway).
-    #[cfg(feature = "alloc-count")]
-    {
-        assert_zero_alloc_serving();
-        return;
-    }
-    #[cfg(not(feature = "alloc-count"))]
-    benches();
+    print_row("direct engine (no scheduler)", ms);
 }

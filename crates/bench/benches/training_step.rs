@@ -1,31 +1,26 @@
-//! Training-step cost per sub-network (criterion): one forward + backward +
-//! masked SGD step, the unit of Algorithm 1's inner loop.
+//! Training-step cost per sub-network: one forward + backward + masked
+//! SGD step at batch 16, the unit of Algorithm 1's inner loop.
 //!
-//! With `--features alloc-count` the binary instead becomes a regression
-//! gate: a counting global allocator proves the steady-state training step
-//! (forward, loss, backward, optimizer — all through the workspace arena)
-//! performs **zero heap allocations** — see `docs/PERFORMANCE.md`.
+//! Each sub-network is timed at one kernel thread and at
+//! `available_parallelism` threads, and the ratio of the two times is
+//! printed: below 1, the kernel pool's intra-op fan-out pays on this host.
+//!
+//! Run with `cargo bench -p fluid-bench --bench training_step`.
 
-// In alloc-count mode the timing benches are compiled but not run.
-#![cfg_attr(feature = "alloc-count", allow(dead_code))]
-
-use criterion::{criterion_group, Criterion};
-use fluid_models::{Arch, FluidModel};
+use fluid_bench::median_ms;
+use fluid_models::{Arch, FluidModel, SubnetSpec};
 use fluid_nn::{softmax_cross_entropy_ws, Optimizer, Sgd};
-use fluid_tensor::{Prng, Tensor};
-use std::hint::black_box;
+use fluid_tensor::{pool, Prng, Tensor};
 
-#[cfg(feature = "alloc-count")]
-#[global_allocator]
-static ALLOC: fluid_bench::alloc_count::CountingAllocator =
-    fluid_bench::alloc_count::CountingAllocator;
+const WARMUP: usize = 3;
+const REPS: usize = 21;
 
 /// One full training step through the workspace-arena hot path: the loss
 /// gradient is drawn from (and the logits recycled into) the executor's
-/// arena, so a steady-state step touches the allocator zero times.
+/// arena.
 fn train_step(
     model: &mut FluidModel,
-    spec: &fluid_models::SubnetSpec,
+    spec: &SubnetSpec,
     x: &Tensor,
     labels: &[usize],
     opt: &mut Sgd,
@@ -41,75 +36,32 @@ fn train_step(
     opt.step(&mut params);
 }
 
-fn bench_training_steps(c: &mut Criterion) {
-    let mut model = FluidModel::new(Arch::paper(), &mut Prng::new(0));
-    let mut rng = Prng::new(1);
-    let x = Tensor::from_fn(&[16, 1, 28, 28], |_| rng.uniform(0.0, 1.0));
-    let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
-    let mut opt = Sgd::new(0.05, 0.9, 1e-4);
-
-    let mut group = c.benchmark_group("training step (batch 16)");
-    for name in ["lower25", "lower50", "upper50", "combined100"] {
-        let spec = model.spec(name).expect("spec").clone();
-        group.bench_function(name, |bench| {
-            bench.iter(|| {
-                train_step(&mut model, &spec, &x, &labels, &mut opt);
-                black_box(());
-            })
-        });
-    }
-    group.finish();
-}
-
-/// The zero-allocation gate over the training step: after warm-up (first
-/// steps allocate optimizer state and grow the arena to its high-water
-/// mark), every further step must be allocation-free.
-///
-/// Runs at one kernel thread: the compute path is what's under test (the
-/// pool's queued fan-out boxes one closure per chunk when real cores are
-/// available, which is a property of the pool, not of the kernels).
-#[cfg(feature = "alloc-count")]
-fn assert_zero_alloc_training() {
-    use fluid_bench::alloc_count;
-
-    fluid_tensor::pool::set_threads(1);
-    let mut model = FluidModel::new(Arch::paper(), &mut Prng::new(0));
-    let mut rng = Prng::new(1);
-    let x = Tensor::from_fn(&[16, 1, 28, 28], |_| rng.uniform(0.0, 1.0));
-    let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
-    let spec = model.spec("combined100").expect("spec").clone();
-    let mut opt = Sgd::new(0.05, 0.9, 1e-4);
-    for _ in 0..5 {
-        train_step(&mut model, &spec, &x, &labels, &mut opt);
-    }
-    const STEPS: u64 = 50;
-    let (allocs, ()) = alloc_count::allocations_during(|| {
-        for _ in 0..STEPS {
-            train_step(&mut model, &spec, &x, &labels, &mut opt);
-        }
-    });
-    assert_eq!(
-        allocs, 0,
-        "steady-state training step allocated {allocs} times over {STEPS} steps \
-         (expected zero; a kernel or layer has fallen off the workspace arena)"
-    );
-    println!("alloc-count OK: 0 heap allocations across {STEPS} steady-state combined100 steps");
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_training_steps
-}
-
 fn main() {
-    // In alloc-count mode the binary is the allocation gate, not a timing
-    // run (the counting allocator would skew timings anyway).
-    #[cfg(feature = "alloc-count")]
-    {
-        assert_zero_alloc_training();
-        return;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut model = FluidModel::new(Arch::paper(), &mut Prng::new(0));
+    let mut rng = Prng::new(1);
+    let x = Tensor::from_fn(&[16, 1, 28, 28], |_| rng.uniform(0.0, 1.0));
+    let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
+    let mut opt = Sgd::new(0.05, 0.9, 1e-4);
+    let specs = model.specs().to_vec();
+
+    println!("Training step, batch 16 (median of {REPS}; {cores} visible cores)\n");
+    println!(
+        "{:<12} {:>9} {:>9} {:>9}",
+        "sub-network",
+        "t1 ms",
+        format!("t{cores} ms"),
+        format!("t{cores}/t1")
+    );
+    for spec in &specs {
+        let mut time_at = |threads: usize| {
+            pool::set_threads(threads);
+            median_ms(WARMUP, REPS, || {
+                train_step(&mut model, spec, &x, &labels, &mut opt)
+            })
+        };
+        let t1 = time_at(1);
+        let tn = time_at(cores);
+        println!("{:<12} {t1:>9.3} {tn:>9.3} {:>9.2}", spec.name, tn / t1);
     }
-    #[cfg(not(feature = "alloc-count"))]
-    benches();
 }

@@ -1,57 +1,24 @@
-//! Shared helpers for the fluid-bench benchmark harness.
+//! Shared helpers for the fluid-bench printouts.
 
-/// A counting global allocator, enabled by the bench-only `alloc-count`
-/// feature. Benches register it with `#[global_allocator]` and assert that
-/// steady-state hot paths (the serving compute path, the training step)
-/// perform **zero** heap allocations — the regression gate that keeps the
-/// workspace-arena discipline honest (`ci.sh` runs the checks in the bench
-/// stage).
-#[cfg(feature = "alloc-count")]
-pub mod alloc_count {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
-    /// Allocation calls (alloc, alloc_zeroed, realloc) since process start.
-    static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-    /// Forwards to the system allocator, counting every allocation call.
-    /// Frees are not counted: the hot-path contract is "no new memory", and
-    /// a path that frees without allocating only shrinks its arena.
-    pub struct CountingAllocator;
-
-    // SAFETY: pure pass-through to `System` plus a relaxed counter bump;
-    // all `GlobalAlloc` contract obligations are `System`'s.
-    #[allow(unsafe_code)]
-    unsafe impl GlobalAlloc for CountingAllocator {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.alloc_zeroed(layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
+/// Median wall-clock milliseconds of `f` over `reps` timed runs, after
+/// `warmup` untimed ones.
+///
+/// # Panics
+///
+/// If `reps` is zero.
+pub fn median_ms(warmup: usize, reps: usize, mut f: impl FnMut()) -> f64 {
+    for _ in 0..warmup {
+        f();
     }
-
-    /// Total allocation calls so far.
-    pub fn allocations() -> u64 {
-        ALLOCATIONS.load(Ordering::SeqCst)
-    }
-
-    /// Runs `f` and returns how many heap allocations it performed.
-    pub fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-        let before = allocations();
-        let result = f();
-        (allocations() - before, result)
-    }
+    let mut samples: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[reps / 2]
 }

@@ -672,7 +672,8 @@ pub fn host_variants_f32() -> Vec<&'static KernelF32> {
 }
 
 /// Every int8 variant this host can execute (always includes scalar).
-pub fn host_variants_i8() -> Vec<&'static KernelI8> {
+#[cfg(test)]
+pub(crate) fn host_variants_i8() -> Vec<&'static KernelI8> {
     #[allow(unused_mut)]
     let mut v = vec![&SCALAR_I8];
     #[cfg(target_arch = "x86_64")]
@@ -683,7 +684,8 @@ pub fn host_variants_i8() -> Vec<&'static KernelI8> {
 }
 
 /// Every quantize-strip variant this host can execute.
-pub fn host_variants_quant() -> Vec<&'static KernelQuant> {
+#[cfg(test)]
+pub(crate) fn host_variants_quant() -> Vec<&'static KernelQuant> {
     #[allow(unused_mut)]
     let mut v = vec![&SCALAR_QUANT];
     #[cfg(target_arch = "x86_64")]

@@ -8,16 +8,21 @@
 //! value's `to_bits` little-endian bytes (checkpoint bytes are digested
 //! as-is). A refactor that claims to be bit-neutral passes unchanged; one
 //! that moves a single bit anywhere in the forward or training path fails
-//! here instead of drifting silently. The same holds for the bytes
-//! `Message::encode` puts on the wire, one seeded message per tag: a
-//! peer built from another commit must read them.
+//! here instead of drifting silently. The int8 path is pinned the same
+//! way: the calibrated `QuantizedNet` logits of the seeded model. So are
+//! the bytes `Message::encode` puts on the wire, one seeded message per
+//! tag (a peer built from another commit must read them), and the
+//! per-send fates a seeded `FaultPlan` draws (a drill replays its fault
+//! schedule from nothing but the seed).
 //!
 //! Run on the dispatched kernels and under `FLUID_FORCE_SCALAR=1`: both
 //! legs must read the same digests.
 
-use fluid_dist::{GossipNode, Message, Mode, NamedTensor};
-use fluid_integration_tests::{fresh_paper_fluid, quick_trained_fluid};
-use fluid_models::{save_net, BranchSpec};
+use fluid_dist::{
+    FaultPlan, FaultSpec, GossipNode, InProcTransport, Message, Mode, NamedTensor, Transport,
+};
+use fluid_integration_tests::{calibration_batch, fresh_paper_fluid, quick_trained_fluid};
+use fluid_models::{calibrate, save_net, BranchSpec, QuantizedNet};
 use fluid_nn::ChannelRange;
 use fluid_tensor::{Prng, Tensor};
 
@@ -38,6 +43,17 @@ const LOGITS: &[(&str, usize, u64)] = &[
     ("combined75", 16, 0x25930496c5d91c88),
     ("combined100", 16, 0x6e3db01558058c4b),
 ];
+
+/// `(batch, digest)` of the seeded `Arch::paper()` `combined100` logits
+/// through the `QuantizedNet` calibrated on [`calibration_batch`].
+const INT8_LOGITS: &[(usize, u64)] = &[(1, 0xe11900f50523a721), (16, 0xdc63ddbc9945d9fc)];
+
+/// The per-send fates of [`FAULT_LABELS`] under the seeded 0.1/0.1/0.1
+/// drop/duplicate/delay plan, [`FAULT_SENDS`] sends per link.
+const FAULT_SCHEDULE: u64 = 0x9ffcf41aa3a31cb4;
+
+const FAULT_LABELS: [&str; 3] = ["router-0->node-0", "router-0->node-1", "router-1->node-0"];
+const FAULT_SENDS: u64 = 256;
 
 /// `save_net` bytes after the seeded `train_nested` run on `Arch::tiny_28()`.
 const TRAINED_CHECKPOINT: u64 = 0xd50b5337f688a6c1;
@@ -74,13 +90,18 @@ fn digest_f32(values: &[f32]) -> u64 {
     fnv1a(values.iter().flat_map(|v| v.to_bits().to_le_bytes()))
 }
 
+/// The seeded input batch every logits digest is taken over.
+fn golden_input(batch: usize) -> Tensor {
+    Tensor::from_fn(&[batch, 1, 28, 28], |i| ((i * 7919) % 251) as f32 / 251.0)
+}
+
 #[test]
 fn paper_logits_match_golden_digests() {
     let mut model = fresh_paper_fluid(2718);
     let names: Vec<String> = model.specs().iter().map(|s| s.name.clone()).collect();
     let mut got = Vec::new();
     for batch in [1, 16] {
-        let x = Tensor::from_fn(&[batch, 1, 28, 28], |i| ((i * 7919) % 251) as f32 / 251.0);
+        let x = golden_input(batch);
         for name in &names {
             let logits = model.infer(name, &x);
             got.push((name.as_str(), batch, digest_f32(logits.data())));
@@ -93,6 +114,59 @@ fn paper_logits_match_golden_digests() {
     assert!(
         got == LOGITS,
         "seeded paper logits drifted; {UPDATE_RULE}. Got:{table}"
+    );
+}
+
+#[test]
+fn int8_logits_match_golden_digests() {
+    let mut model = fresh_paper_fluid(2718);
+    let spec = model.spec("combined100").expect("spec").clone();
+    let calib = calibrate(model.net_mut(), &spec, &calibration_batch());
+    let mut qnet = QuantizedNet::from_net(model.net(), &spec, &calib);
+    let got: Vec<(usize, u64)> = [1, 16]
+        .into_iter()
+        .map(|batch| (batch, digest_f32(qnet.forward(&golden_input(batch)).data())))
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(b, d)| format!("\n    ({b}, {d:#018x}),"))
+        .collect();
+    assert!(
+        got == INT8_LOGITS,
+        "seeded int8 logits drifted; {UPDATE_RULE}. Got:{table}"
+    );
+}
+
+#[test]
+fn fault_schedule_matches_golden_digest() {
+    let spec = FaultSpec {
+        drop_p: 0.1,
+        duplicate_p: 0.1,
+        delay_p: 0.1,
+        ..FaultSpec::default()
+    };
+    let plan = FaultPlan::new(spec, 31337);
+    let mut fates = Vec::new();
+    for label in FAULT_LABELS {
+        let (near, _far) = InProcTransport::pair();
+        let mut link = plan.link(label).wrap(near);
+        for seq in 0..FAULT_SENDS {
+            // Each send's fate is read back as the report's delta:
+            // 0 clean, 1 dropped, 2 duplicated, 3 delayed.
+            let before = plan.report();
+            link.send(&Message::Heartbeat { seq }).expect("send");
+            let after = plan.report();
+            fates.push(
+                u8::from(after.dropped > before.dropped)
+                    + 2 * u8::from(after.duplicated > before.duplicated)
+                    + 3 * u8::from(after.delayed > before.delayed),
+            );
+        }
+    }
+    let got = fnv1a(fates);
+    assert!(
+        got == FAULT_SCHEDULE,
+        "seeded fault schedule drifted: digest {got:#018x}; {UPDATE_RULE}"
     );
 }
 

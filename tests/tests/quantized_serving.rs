@@ -3,24 +3,17 @@
 //! served through the batched scheduler, must (a) answer bit-identically
 //! to a direct `QuantizedNet` forward — batching and threading never
 //! change quantized answers — and (b) track the f32 oracle closely enough
-//! that top-1 decisions survive quantization.
+//! that top-1 decisions survive quantization. A second test is the
+//! calibration-quality gate: quantization may flip at most 1% of the
+//! trained model's top-1 decisions on the calibration batch itself.
 
-use fluid_data::SynthDigits;
-use fluid_integration_tests::quick_trained_fluid;
+use fluid_integration_tests::{calibration_batch, quick_trained_fluid};
 use fluid_models::{calibrate, top1_agreement, QuantizedNet};
 use fluid_serve::{QuantBackend, ServeConfig, Server};
 use fluid_tensor::Tensor;
 use std::time::Duration;
 
-const CALIB_BATCH: usize = 64;
 const EVAL_BATCH: usize = 48;
-
-/// Held-out calibration batch: a seed the training set never saw.
-fn calib_batch() -> Tensor {
-    let ds = SynthDigits::new(0xCA11B).generate(CALIB_BATCH);
-    let (images, _) = ds.gather(&(0..CALIB_BATCH).collect::<Vec<_>>());
-    images
-}
 
 fn row(batch: &Tensor, i: usize) -> Tensor {
     let [_, c, h, w] = [
@@ -40,7 +33,7 @@ fn row(batch: &Tensor, i: usize) -> Tensor {
 fn quantized_serving_is_bit_identical_to_direct_forward_and_tracks_f32() {
     let (mut model, test) = quick_trained_fluid(42);
     let spec = model.spec("combined100").expect("spec").clone();
-    let calib = calibrate(model.net_mut(), &spec, &calib_batch());
+    let calib = calibrate(model.net_mut(), &spec, &calibration_batch());
     let qnet = QuantizedNet::from_net(model.net(), &spec, &calib);
 
     // Direct (unbatched, single-thread-agnostic) quantized reference.
@@ -105,5 +98,21 @@ fn quantized_serving_is_bit_identical_to_direct_forward_and_tracks_f32() {
     assert!(
         agreement >= 0.95,
         "top-1 agreement between f32 and served int8 fell to {agreement}"
+    );
+}
+
+#[test]
+fn int8_calibration_keeps_top1_decisions() {
+    let (mut model, _) = quick_trained_fluid(41);
+    let spec = model.spec("combined100").expect("spec").clone();
+    let batch = calibration_batch();
+    let calib = calibrate(model.net_mut(), &spec, &batch);
+    let mut qnet = QuantizedNet::from_net(model.net(), &spec, &calib);
+    let f32_logits = model.net_mut().forward_subnet(&batch, &spec, false);
+    let agreement = top1_agreement(&f32_logits, &qnet.forward(&batch));
+    assert!(
+        agreement >= 0.99,
+        "int8 top-1 agreement with f32 on the calibration batch fell to {agreement} \
+         (gate: 0.99); a quantization regression"
     );
 }
