@@ -182,15 +182,23 @@ stage_tests() {
     FLUID_FORCE_SCALAR=1 cargo test -q -p fluid-tensor
     FLUID_FORCE_SCALAR=1 cargo test -q -p fluid-integration-tests --test golden
     # fluidbench (benchmark/) is a package of its own that the workspace
-    # build never touches: build it, run its unit tests, and smoke two
-    # workloads for 2 s each, so an API change that breaks
-    # benchmark/src/sut.rs fails here rather than in the benchmark run.
+    # build never touches: build it, run its unit tests, and smoke every
+    # workload BENCHMARK.json lists, so an API change that breaks
+    # benchmark/src/sut.rs, or a server-side count that disagrees with
+    # the verified replies, fails here rather than in the benchmark run.
+    # Each smoke runs 2 s, except tcp_reconnect: a closed loop with fewer
+    # than 200 samples exits non-zero by design, and one connection per
+    # request runs at ≈ 20 req/s (the server's accept poll), so 10 s
+    # collects exactly 200 and 12 s leaves a margin.
     cargo build --release --manifest-path benchmark/Cargo.toml
     cargo test -q --release --manifest-path benchmark/Cargo.toml
-    local workload result
-    for workload in pair_ha cluster_closed_b1; do
+    local workload seconds result
+    for workload in inproc_burst_f32 inproc_burst_int8 tcp_open_batched tcp_closed_b1 \
+        tcp_reconnect cluster_closed_b1 pair_ha; do
+        seconds=2
+        [ "$workload" = tcp_reconnect ] && seconds=12
         result=$(cargo run --release -q --manifest-path benchmark/Cargo.toml -- \
-            --workload "$workload" --seed 7 --seconds 2 --trace 0 | tail -n 1)
+            --workload "$workload" --seed 7 --seconds "$seconds" --trace 0 | tail -n 1)
         if [[ "$result" != '{"correct": true'* ]]; then
             echo "fluidbench smoke $workload: no correct result line: $result"
             return 1

@@ -528,8 +528,11 @@ macro_rules! prop_assert_eq {
     }};
 }
 
-/// Declares property tests. Each `fn name(arg in strategy, ...) { body }`
-/// becomes a `#[test]` running [`ProptestConfig::cases`] random cases.
+/// Declares property tests. Each `#[test] fn name(arg in strategy, ...)
+/// { body }` becomes a test running [`ProptestConfig::cases`] random
+/// cases. As in upstream proptest, the caller writes the `#[test]`: the
+/// macro passes attributes through and adds none, so each test is
+/// registered once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -551,7 +554,6 @@ macro_rules! __proptest_items {
      $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let __pt_config: $crate::ProptestConfig = $cfg;
             for __pt_case in 0..__pt_config.cases as u64 {
@@ -667,6 +669,7 @@ mod tests {
 
         /// The macro itself: args bind, asserts work, config is honoured.
         #[allow(clippy::absurd_extreme_comparisons)]
+        #[test]
         fn macro_generates_cases(a in 0usize..10, b in "[a-z]{2,4}") {
             prop_assert!(a < 10, "a was {a}");
             prop_assert_eq!(b.len().clamp(2, 4), b.len());

@@ -48,6 +48,12 @@ impl From<std::io::Error> for DistError {
     }
 }
 
+impl From<fluid_tensor::codec::CodecError> for DistError {
+    fn from(e: fluid_tensor::codec::CodecError) -> Self {
+        DistError::Decode(e.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

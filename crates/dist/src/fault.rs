@@ -20,28 +20,11 @@
 use crate::error::DistError;
 use crate::transport::Transport;
 use crate::wire::Message;
+use fluid_tensor::codec::{fnv1a, mix64};
 use fluid_tensor::Prng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// SplitMix64 finalizer: mixes the plan seed with per-link entropy.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a over a link label, seeding the label half of the link stream.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// A window of simulated network partition, relative to the plan's
 /// [`arm`](FaultPlan::arm) instant.

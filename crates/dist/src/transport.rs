@@ -385,6 +385,7 @@ mod tests {
         /// Any message sequence, written in arbitrary chunks down to single
         /// bytes, decodes to the same sequence — frames straddling reads,
         /// several per read, and frames larger than the first buffer.
+        #[test]
         fn chunked_stream_decodes_to_the_sent_sequence(
             kinds in proptest::collection::vec((0u8..4, 0u64..1000), 1..10),
             chunks in proptest::collection::vec(

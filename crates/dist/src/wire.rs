@@ -1,14 +1,15 @@
 //! Wire types: the execution [`Mode`], weight windows ([`NamedTensor`]) and
 //! the [`Message`] codec.
 //!
-//! The codec is a small hand-rolled little-endian format (this workspace
-//! carries no serde): one tag byte, then the variant's fields. Decoding is
+//! The codec is a small hand-rolled little-endian format written with
+//! `fluid_tensor::codec`: one tag byte, then the variant's fields. Decoding is
 //! total — arbitrary byte soup either yields a message or a
 //! [`DistError::Decode`], never a panic or an unbounded allocation.
 
 use crate::error::DistError;
 use fluid_models::BranchSpec;
 use fluid_nn::ChannelRange;
+use fluid_tensor::codec::{put_str, put_tensor, put_u32, put_u64, put_u8, tensor_len, Cursor};
 use fluid_tensor::Tensor;
 
 /// The runtime's two execution modes (paper §III).
@@ -241,10 +242,6 @@ const TAG_NODE_HEARTBEAT: u8 = 15;
 const TAG_GOSSIP: u8 = 16;
 const TAG_MEMBERSHIP_ACK: u8 = 17;
 
-/// A decoded tensor beyond this rank is a protocol error, not a panic:
-/// `fluid_tensor::Shape` stores dimensions inline and asserts its own
-/// bound, so the decoder must reject first.
-const MAX_TENSOR_RANK: usize = fluid_tensor::MAX_RANK;
 const MAX_BRANCH_STAGES: usize = 1024;
 /// A gossip digest claiming more member records than any sane cluster is a
 /// protocol error, not an allocation: reject before reserving.
@@ -253,38 +250,10 @@ const MAX_GOSSIP_NODES: usize = 65_536;
 /// the router's maximum shard count with generous headroom.
 const MAX_GOSSIP_SHARDS: usize = 65_536;
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
 /// Room [`Message::encode`] reserves beyond the tensor bytes: a tensor
 /// frame's fixed fields (a tag and at most two `u64`s) fit, so it is
 /// written with one allocation. Frames of strings and lists may grow.
 const ENCODE_SLACK: usize = 64;
-
-/// Bytes [`put_tensor`] writes for `t`.
-fn tensor_len(t: &Tensor) -> usize {
-    4 * (1 + t.dims().len() + t.data().len())
-}
-
-fn put_tensor(out: &mut Vec<u8>, t: &Tensor) {
-    put_u32(out, t.dims().len() as u32);
-    for &d in t.dims() {
-        put_u32(out, d as u32);
-    }
-    for &x in t.data() {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
 
 fn put_branch(out: &mut Vec<u8>, b: &BranchSpec) {
     put_str(out, &b.name);
@@ -293,127 +262,30 @@ fn put_branch(out: &mut Vec<u8>, b: &BranchSpec) {
         put_u32(out, r.lo as u32);
         put_u32(out, r.hi as u32);
     }
-    out.push(b.fc_bias as u8);
+    put_u8(out, b.fc_bias as u8);
 }
 
-/// Bounds-checked reader over a decode buffer.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+fn read_branch(c: &mut Cursor) -> Result<BranchSpec, DistError> {
+    let name = c.string()?;
+    let stages = c.u32()? as usize;
+    if stages > MAX_BRANCH_STAGES {
+        return Err(DistError::Decode(format!("branch with {stages} stages")));
     }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], DistError> {
-        if self.remaining() < n {
-            return Err(DistError::Decode(format!(
-                "need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.remaining()
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DistError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DistError> {
-        Ok(u32::from_le_bytes(
-            self.bytes(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, DistError> {
-        Ok(u64::from_le_bytes(
-            self.bytes(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn string(&mut self) -> Result<String, DistError> {
-        let len = self.u32()? as usize;
-        let bytes = self.bytes(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| DistError::Decode(format!("bad utf-8: {e}")))
-    }
-
-    fn tensor(&mut self) -> Result<Tensor, DistError> {
-        let rank = self.u32()? as usize;
-        if rank > MAX_TENSOR_RANK {
-            return Err(DistError::Decode(format!("tensor rank {rank}")));
-        }
-        let mut dims = [0usize; MAX_TENSOR_RANK];
-        let dims = &mut dims[..rank];
-        for d in dims.iter_mut() {
-            *d = self.u32()? as usize;
-        }
-        let numel = dims
-            .iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-            .ok_or_else(|| DistError::Decode("tensor element count overflows".into()))?;
-        // Element data must already be present — this bounds the allocation
-        // by the actual payload size before reserving anything.
-        if self.remaining() < numel.saturating_mul(4) {
-            return Err(DistError::Decode(format!(
-                "tensor claims {numel} elements but only {} bytes remain",
-                self.remaining()
-            )));
-        }
-        let raw = self.bytes(numel * 4)?;
-        let data = raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect();
-        Ok(Tensor::from_vec(data, dims))
-    }
-
-    fn range(&mut self) -> Result<ChannelRange, DistError> {
-        let lo = self.u32()? as usize;
-        let hi = self.u32()? as usize;
-        if lo > hi {
-            return Err(DistError::Decode(format!(
+    // Collected, not reserved: the vector grows with the ranges present.
+    let channels = (0..stages)
+        .map(|_| match (c.u32()? as usize, c.u32()? as usize) {
+            (lo, hi) if lo > hi => Err(DistError::Decode(format!(
                 "inverted channel range {lo}..{hi}"
-            )));
-        }
-        Ok(ChannelRange::new(lo, hi))
-    }
-
-    fn branch(&mut self) -> Result<BranchSpec, DistError> {
-        let name = self.string()?;
-        let stages = self.u32()? as usize;
-        if stages > MAX_BRANCH_STAGES {
-            return Err(DistError::Decode(format!("branch with {stages} stages")));
-        }
-        let mut channels = Vec::with_capacity(stages);
-        for _ in 0..stages {
-            channels.push(self.range()?);
-        }
-        let fc_bias = self.u8()? != 0;
-        Ok(BranchSpec {
-            name,
-            channels,
-            fc_bias,
+            ))),
+            (lo, hi) => Ok(ChannelRange::new(lo, hi)),
         })
-    }
-
-    fn finish(self) -> Result<(), DistError> {
-        if self.pos != self.buf.len() {
-            return Err(DistError::Decode(format!(
-                "{} trailing bytes after message",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
+        .collect::<Result<_, _>>()?;
+    let fc_bias = c.u8()? != 0;
+    Ok(BranchSpec {
+        name,
+        channels,
+        fc_bias,
+    })
 }
 
 impl Message {
@@ -431,11 +303,11 @@ impl Message {
         let mut out = Vec::with_capacity(ENCODE_SLACK + self.tensor_bytes());
         match self {
             Message::Hello { device } => {
-                out.push(TAG_HELLO);
+                put_u8(&mut out, TAG_HELLO);
                 put_str(&mut out, device);
             }
             Message::DeployBranch { branch, weights } => {
-                out.push(TAG_DEPLOY);
+                put_u8(&mut out, TAG_DEPLOY);
                 put_branch(&mut out, branch);
                 put_u32(&mut out, weights.len() as u32);
                 for w in weights {
@@ -444,37 +316,40 @@ impl Message {
                 }
             }
             Message::DeployAck { branch_name } => {
-                out.push(TAG_DEPLOY_ACK);
+                put_u8(&mut out, TAG_DEPLOY_ACK);
                 put_str(&mut out, branch_name);
             }
             Message::Infer { request_id, input } => {
-                out.push(TAG_INFER);
+                put_u8(&mut out, TAG_INFER);
                 put_u64(&mut out, *request_id);
                 put_tensor(&mut out, input);
             }
             Message::Logits { request_id, logits } => {
-                out.push(TAG_LOGITS);
+                put_u8(&mut out, TAG_LOGITS);
                 put_u64(&mut out, *request_id);
                 put_tensor(&mut out, logits);
             }
             Message::Heartbeat { seq } => {
-                out.push(TAG_HEARTBEAT);
+                put_u8(&mut out, TAG_HEARTBEAT);
                 put_u64(&mut out, *seq);
             }
             Message::HeartbeatAck { seq } => {
-                out.push(TAG_HEARTBEAT_ACK);
+                put_u8(&mut out, TAG_HEARTBEAT_ACK);
                 put_u64(&mut out, *seq);
             }
             Message::SwitchMode { mode } => {
-                out.push(TAG_SWITCH_MODE);
-                out.push(match mode {
-                    Mode::HighAccuracy => 0,
-                    Mode::HighThroughput => 1,
-                });
+                put_u8(&mut out, TAG_SWITCH_MODE);
+                put_u8(
+                    &mut out,
+                    match mode {
+                        Mode::HighAccuracy => 0,
+                        Mode::HighThroughput => 1,
+                    },
+                );
             }
-            Message::Shutdown => out.push(TAG_SHUTDOWN),
+            Message::Shutdown => put_u8(&mut out, TAG_SHUTDOWN),
             Message::Reject { request_id, reason } => {
-                out.push(TAG_REJECT);
+                put_u8(&mut out, TAG_REJECT);
                 put_u64(&mut out, *request_id);
                 put_str(&mut out, reason);
             }
@@ -483,7 +358,7 @@ impl Message {
                 shard_key,
                 input,
             } => {
-                out.push(TAG_INFER_KEYED);
+                put_u8(&mut out, TAG_INFER_KEYED);
                 put_u64(&mut out, *request_id);
                 put_u64(&mut out, *shard_key);
                 put_tensor(&mut out, input);
@@ -493,18 +368,18 @@ impl Message {
                 tenant,
                 input,
             } => {
-                out.push(TAG_INFER_TENANT);
+                put_u8(&mut out, TAG_INFER_TENANT);
                 put_u64(&mut out, *request_id);
                 put_u64(&mut out, *tenant);
                 put_tensor(&mut out, input);
             }
             Message::Join { node, addr } => {
-                out.push(TAG_JOIN);
+                put_u8(&mut out, TAG_JOIN);
                 put_str(&mut out, node);
                 put_str(&mut out, addr);
             }
             Message::Leave { node } => {
-                out.push(TAG_LEAVE);
+                put_u8(&mut out, TAG_LEAVE);
                 put_str(&mut out, node);
             }
             Message::NodeHeartbeat {
@@ -513,7 +388,7 @@ impl Message {
                 seq,
                 queue_depth,
             } => {
-                out.push(TAG_NODE_HEARTBEAT);
+                put_u8(&mut out, TAG_NODE_HEARTBEAT);
                 put_str(&mut out, node);
                 put_str(&mut out, addr);
                 put_u64(&mut out, *seq);
@@ -525,7 +400,7 @@ impl Message {
                 shard_pending,
                 nodes,
             } => {
-                out.push(TAG_GOSSIP);
+                put_u8(&mut out, TAG_GOSSIP);
                 put_str(&mut out, from);
                 put_u64(&mut out, *epoch);
                 put_u32(&mut out, shard_pending.len() as u32);
@@ -536,16 +411,16 @@ impl Message {
                 for n in nodes {
                     put_str(&mut out, &n.id);
                     put_str(&mut out, &n.addr);
-                    out.push(n.alive as u8);
+                    put_u8(&mut out, n.alive as u8);
                     put_u64(&mut out, n.member_version);
-                    out.push(n.up as u8);
+                    put_u8(&mut out, n.up as u8);
                     put_u32(&mut out, n.probe_in_ms);
                     put_u64(&mut out, n.health_version);
                     put_u32(&mut out, n.queue_depth);
                 }
             }
             Message::MembershipAck { epoch } => {
-                out.push(TAG_MEMBERSHIP_ACK);
+                put_u8(&mut out, TAG_MEMBERSHIP_ACK);
                 put_u64(&mut out, *epoch);
             }
         }
@@ -574,8 +449,8 @@ impl Message {
     /// # Errors
     ///
     /// Returns [`DistError::Decode`] on truncated, corrupt or trailing
-    /// bytes. Never panics and never allocates more than the payload's own
-    /// size.
+    /// bytes. Never panics, and never asks the heap for more than a small
+    /// multiple of the payload's size (`tests/tests/decode_total.rs`).
     pub fn decode(bytes: impl AsRef<[u8]>) -> Result<Message, DistError> {
         let bytes = bytes.as_ref();
         let mut c = Cursor::new(bytes);
@@ -585,7 +460,7 @@ impl Message {
                 device: c.string()?,
             },
             TAG_DEPLOY => {
-                let branch = c.branch()?;
+                let branch = read_branch(&mut c)?;
                 let count = c.u32()? as usize;
                 let mut weights = Vec::new();
                 for _ in 0..count {
@@ -650,17 +525,9 @@ impl Message {
                         "gossip digest claims {shards} shards"
                     )));
                 }
-                // Bound the reserve by bytes actually present (4 per depth).
-                if c.remaining() < shards.saturating_mul(4) {
-                    return Err(DistError::Decode(format!(
-                        "gossip claims {shards} shard depths but only {} bytes remain",
-                        c.remaining()
-                    )));
-                }
-                let mut shard_pending = Vec::with_capacity(shards);
-                for _ in 0..shards {
-                    shard_pending.push(c.u32()?);
-                }
+                // Collected, not reserved: the vector grows with the depths
+                // actually present.
+                let shard_pending = (0..shards).map(|_| c.u32()).collect::<Result<_, _>>()?;
                 let count = c.u32()? as usize;
                 if count > MAX_GOSSIP_NODES {
                     return Err(DistError::Decode(format!(
@@ -803,32 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn huge_tensor_claim_rejected_cheaply() {
-        // Infer message whose tensor header claims 2^32-ish elements with no
-        // data behind it: must error, not allocate.
-        let mut payload = vec![TAG_INFER];
-        payload.extend_from_slice(&7u64.to_le_bytes());
-        payload.extend_from_slice(&2u32.to_le_bytes()); // rank 2
-        payload.extend_from_slice(&u32::MAX.to_le_bytes());
-        payload.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(Message::decode(payload).is_err());
-    }
-
-    #[test]
-    fn over_rank_tensor_rejected_not_panicking() {
-        // Rank past fluid_tensor::MAX_RANK must be a Decode error — Shape
-        // stores dims inline and would panic if this reached Tensor.
-        let mut payload = vec![TAG_INFER];
-        payload.extend_from_slice(&7u64.to_le_bytes());
-        payload.extend_from_slice(&5u32.to_le_bytes()); // rank 5 > MAX_RANK
-        for _ in 0..5 {
-            payload.extend_from_slice(&1u32.to_le_bytes());
-        }
-        payload.extend_from_slice(&1f32.to_le_bytes());
-        assert!(Message::decode(payload).is_err());
-    }
-
-    #[test]
     fn inverted_range_rejected() {
         let branch = BranchSpec::uniform("b", ChannelRange::new(2, 4), 1, true);
         let mut payload = Message::DeployBranch {
@@ -842,52 +683,6 @@ mod tests {
         payload[lo_at..lo_at + 4].copy_from_slice(&9u32.to_le_bytes());
         payload[lo_at + 4..lo_at + 8].copy_from_slice(&1u32.to_le_bytes());
         assert!(Message::decode(payload).is_err());
-    }
-
-    #[test]
-    fn truncated_tenant_frame_rejected() {
-        // Tenant frame cut off mid-tensor-header: a Decode error, never a
-        // panic or a bogus message.
-        let full = Message::InferTenant {
-            request_id: 1,
-            tenant: 7,
-            input: Tensor::from_vec(vec![1.0], &[1, 1]),
-        }
-        .encode();
-        for cut in 1..full.len() {
-            assert!(
-                Message::decode(&full[..cut]).is_err(),
-                "truncation at {cut} bytes decoded"
-            );
-        }
-    }
-
-    #[test]
-    fn truncated_gossip_frame_rejected() {
-        // Gossip is the widest membership frame; cut it at every offset and
-        // demand a clean Decode error each time.
-        let full = Message::Gossip {
-            from: "router-0".into(),
-            epoch: 3,
-            shard_pending: vec![1, 2],
-            nodes: vec![GossipNode {
-                id: "n".into(),
-                addr: "a:1".into(),
-                alive: true,
-                member_version: 1,
-                up: false,
-                probe_in_ms: 40,
-                health_version: 2,
-                queue_depth: 1,
-            }],
-        }
-        .encode();
-        for cut in 1..full.len() {
-            assert!(
-                Message::decode(&full[..cut]).is_err(),
-                "truncation at {cut} bytes decoded"
-            );
-        }
     }
 
     #[test]

@@ -2,16 +2,39 @@
 //!
 //! A deployment story needs durable weights: the Master trains (or loads) a
 //! model once and re-deploys branches after failures. The format is a small
-//! little-endian container (magic, version, architecture, tensors) with no
-//! external dependencies.
+//! little-endian container written with [`fluid_tensor::codec`]:
+//!
+//! ```text
+//! "FLDN" | version u32 = 2
+//!        | levels u32 | levels × width u32
+//!        | conv_stages u32 | kernel u32 | image_side u32
+//!        | image_channels u32 | classes u32
+//!        | per conv stage: weight tensor, bias tensor
+//!        | fc weight tensor | fc bias tensor
+//!        | FNV-1a u64 over every byte before it
+//! ```
+//!
+//! A load reads the whole file (at most [`MAX_CHECKPOINT_BYTES`]) and checks
+//! the trailer, the architecture, and that the tensor bytes it implies are
+//! the bytes present, before the network allocates: a damaged or crafted
+//! file is a [`CheckpointError::Format`], never a panic. A save renames a
+//! synced temporary file into place, so a failed save keeps the old file.
 
 use crate::arch::{Arch, WidthLadder};
 use crate::network::ConvNet;
+use fluid_tensor::codec::{fnv1a, put_tensor, put_u32, put_u64, CodecError, Cursor};
 use fluid_tensor::{Prng, Tensor};
 use std::io::{self, Read, Write};
+use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"FLDN";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
+/// Bytes of the FNV-1a trailer.
+const TRAILER: usize = 8;
+
+/// The largest checkpoint a load reads. The paper's model is ≈ 25 KB; a
+/// longer input is refused rather than buffered.
+pub const MAX_CHECKPOINT_BYTES: u64 = 256 << 20;
 
 /// Error loading a checkpoint.
 #[derive(Debug)]
@@ -39,155 +62,228 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-fn put_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+impl From<CodecError> for CheckpointError {
+    fn from(e: CodecError) -> Self {
+        CheckpointError::Format(e.0)
+    }
 }
 
-fn get_u32<R: Read>(r: &mut R) -> Result<u32, CheckpointError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
+fn format_err<T>(why: impl Into<String>) -> Result<T, CheckpointError> {
+    Err(CheckpointError::Format(why.into()))
 }
 
-fn put_tensor<W: Write>(w: &mut W, t: &Tensor) -> io::Result<()> {
-    put_u32(w, t.dims().len() as u32)?;
-    for &d in t.dims() {
-        put_u32(w, d as u32)?;
+/// The checkpoint bytes of `net`, trailer included.
+fn encode_net(net: &ConvNet) -> Vec<u8> {
+    let arch = net.arch();
+    let mut out = Vec::new();
+    out.extend_from_slice(MAGIC);
+    put_u32(&mut out, VERSION);
+    put_u32(&mut out, arch.ladder.levels() as u32);
+    for &width in arch.ladder.widths() {
+        put_u32(&mut out, width as u32);
     }
-    for &x in t.data() {
-        w.write_all(&x.to_le_bytes())?;
+    for field in [
+        arch.conv_stages,
+        arch.kernel,
+        arch.image_side,
+        arch.image_channels,
+        arch.classes,
+    ] {
+        put_u32(&mut out, field as u32);
     }
-    Ok(())
+    for conv in net.convs() {
+        put_tensor(&mut out, conv.weight());
+        put_tensor(&mut out, conv.bias());
+    }
+    put_tensor(&mut out, net.fc().weight());
+    put_tensor(&mut out, net.fc().bias());
+    let digest = fnv1a(&out);
+    put_u64(&mut out, digest);
+    out
 }
 
-fn get_tensor<R: Read>(r: &mut R) -> Result<Tensor, CheckpointError> {
-    // Reject before `Tensor::from_vec`: `Shape` stores dimensions inline
-    // and panics past `MAX_RANK`, and a corrupt checkpoint must surface as
-    // a `Format` error (the all-or-nothing loader contract), not a crash.
-    let rank = get_u32(r)? as usize;
-    if rank > fluid_tensor::MAX_RANK {
-        return Err(CheckpointError::Format(format!("tensor rank {rank}")));
+/// Reads the architecture fields, refusing any that would make
+/// [`ConvNet::new`] panic.
+fn read_arch(c: &mut Cursor) -> Result<Arch, CheckpointError> {
+    let mut field = || c.u32().map(|v| v as usize);
+    let levels = field()?;
+    if levels == 0 || levels > 64 {
+        return format_err(format!("{levels} ladder levels"));
     }
-    let mut dims = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        dims.push(get_u32(r)? as usize);
+    let widths: Vec<usize> = (0..levels).map(|_| field()).collect::<Result<_, _>>()?;
+    if widths[0] == 0 || widths.windows(2).any(|w| w[0] >= w[1]) {
+        return format_err(format!(
+            "ladder {widths:?} is not positive and strictly ascending"
+        ));
     }
-    let n: usize = dims.iter().product();
-    if n > 256 * 1024 * 1024 {
-        return Err(CheckpointError::Format(format!("tensor of {n} elements")));
+    let arch = Arch {
+        ladder: WidthLadder::new(widths),
+        conv_stages: field()?,
+        kernel: field()?,
+        image_side: field()?,
+        image_channels: field()?,
+        classes: field()?,
+    };
+    if !(1..=16).contains(&arch.conv_stages)
+        || arch.kernel == 0
+        || arch.image_channels == 0
+        || arch.classes == 0
+        || arch.final_side() == 0
+    {
+        return format_err(format!("implausible architecture {arch:?}"));
     }
-    let mut data = Vec::with_capacity(n);
-    let mut b = [0u8; 4];
-    for _ in 0..n {
-        r.read_exact(&mut b)?;
-        data.push(f32::from_le_bytes(b));
+    Ok(arch)
+}
+
+/// The dims of each tensor a net with `arch` holds, in checkpoint order,
+/// or `None` when the FC width overflows `usize`.
+fn shapes(arch: &Arch) -> Option<Vec<Vec<usize>>> {
+    let (max, k, side) = (arch.ladder.max(), arch.kernel, arch.final_side());
+    let fc_in = max.checked_mul(side)?.checked_mul(side)?;
+    let mut shapes = Vec::with_capacity(2 * arch.conv_stages + 2);
+    for stage in 0..arch.conv_stages {
+        let c_in = if stage == 0 { arch.image_channels } else { max };
+        shapes.extend([vec![max, c_in, k, k], vec![max]]);
     }
-    Ok(Tensor::from_vec(data, &dims))
+    shapes.extend([vec![arch.classes, fc_in], vec![arch.classes]]);
+    Some(shapes)
+}
+
+/// Bytes `shapes` take as tensors (rank, dims and elements, 4 bytes
+/// each), or `None` when the count overflows `usize`.
+fn tensor_bytes(shapes: &[Vec<usize>]) -> Option<usize> {
+    shapes.iter().try_fold(0usize, |total, dims| {
+        let numel = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d))?;
+        total.checked_add(numel.checked_add(1 + dims.len())?.checked_mul(4)?)
+    })
+}
+
+/// Decodes a whole checkpoint into its architecture and its tensors, in
+/// checkpoint order and each of the shape the architecture implies.
+fn decode(bytes: &[u8]) -> Result<(Arch, Vec<Tensor>), CheckpointError> {
+    let mut c = Cursor::new(bytes);
+    if c.bytes(MAGIC.len())? != MAGIC {
+        return format_err("bad magic");
+    }
+    match c.u32()? {
+        VERSION => {}
+        1 => {
+            return format_err(
+                "version 1 checkpoint (no checksum) is not read by this build: \
+                 re-save the model, e.g. re-run `fluidctl train --out`",
+            )
+        }
+        v => return format_err(format!("unsupported version {v}")),
+    }
+    // The header just read is as long as the trailer, so this split holds.
+    let (body, trailer) = bytes.split_at(bytes.len() - TRAILER);
+    if body.len() < MAGIC.len() + 4 || fnv1a(body).to_le_bytes() != trailer {
+        return format_err("checksum mismatch: the file is damaged");
+    }
+    let mut c = Cursor::new(&body[MAGIC.len() + 4..]);
+    let arch = read_arch(&mut c)?;
+    let shapes = shapes(&arch).filter(|s| tensor_bytes(s) == Some(c.remaining()));
+    let Some(shapes) = shapes else {
+        return format_err(format!(
+            "{} tensor bytes do not fit architecture {arch:?}",
+            c.remaining()
+        ));
+    };
+    let tensors = shapes
+        .iter()
+        .map(|dims| match c.tensor()? {
+            t if t.dims() == &dims[..] => Ok(t),
+            t => format_err(format!("tensor of shape {:?}, expected {dims:?}", t.dims())),
+        })
+        .collect::<Result<_, _>>()?;
+    c.finish()?;
+    Ok((arch, tensors))
+}
+
+/// Copies decoded tensors, in checkpoint order, over the weights of a net
+/// of the same architecture.
+fn install(net: &mut ConvNet, tensors: &[Tensor]) {
+    let (convs, fc) = tensors.split_at(tensors.len() - 2);
+    for (conv, wb) in net.convs_mut().iter_mut().zip(convs.chunks_exact(2)) {
+        conv.weight_mut().data_mut().copy_from_slice(wb[0].data());
+        conv.bias_mut().data_mut().copy_from_slice(wb[1].data());
+    }
+    let head = net.fc_mut();
+    head.weight_mut().data_mut().copy_from_slice(fc[0].data());
+    head.bias_mut().data_mut().copy_from_slice(fc[1].data());
+}
+
+/// All of `r`, up to [`MAX_CHECKPOINT_BYTES`].
+fn read_capped<R: Read>(r: &mut R) -> Result<Vec<u8>, CheckpointError> {
+    let mut bytes = Vec::new();
+    r.take(MAX_CHECKPOINT_BYTES + 1).read_to_end(&mut bytes)?;
+    if bytes.len() as u64 > MAX_CHECKPOINT_BYTES {
+        return format_err(format!("longer than {MAX_CHECKPOINT_BYTES} bytes"));
+    }
+    Ok(bytes)
 }
 
 /// Writes a network (architecture + all weights) to a writer.
 ///
 /// # Errors
 ///
-/// Returns any underlying I/O error.
+/// Returns any underlying I/O error, from the write or the flush.
 pub fn save_net<W: Write>(net: &ConvNet, w: &mut W) -> Result<(), CheckpointError> {
-    let arch = net.arch();
-    w.write_all(MAGIC)?;
-    put_u32(w, VERSION)?;
-    put_u32(w, arch.ladder.levels() as u32)?;
-    for &width in arch.ladder.widths() {
-        put_u32(w, width as u32)?;
-    }
-    put_u32(w, arch.conv_stages as u32)?;
-    put_u32(w, arch.kernel as u32)?;
-    put_u32(w, arch.image_side as u32)?;
-    put_u32(w, arch.image_channels as u32)?;
-    put_u32(w, arch.classes as u32)?;
-    for conv in net.convs() {
-        put_tensor(w, conv.weight())?;
-        put_tensor(w, conv.bias())?;
-    }
-    put_tensor(w, net.fc().weight())?;
-    put_tensor(w, net.fc().bias())?;
+    w.write_all(&encode_net(net))?;
+    w.flush()?;
     Ok(())
 }
 
-/// Reads a network written by [`save_net`].
+/// Reads a network written by [`save_net`]: the whole of `r`, up to
+/// [`MAX_CHECKPOINT_BYTES`].
 ///
 /// # Errors
 ///
-/// Returns [`CheckpointError`] on I/O failure, bad magic/version, or
-/// mis-shaped tensors.
+/// Returns [`CheckpointError::Io`] on a read failure and
+/// [`CheckpointError::Format`] on anything that is not a whole, intact
+/// version-2 checkpoint: bad magic, version 1, a checksum mismatch, an
+/// implausible architecture, mis-shaped tensors, or more bytes than the
+/// cap.
 pub fn load_net<R: Read>(r: &mut R) -> Result<ConvNet, CheckpointError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(CheckpointError::Format("bad magic".into()));
-    }
-    let version = get_u32(r)?;
-    if version != VERSION {
-        return Err(CheckpointError::Format(format!(
-            "unsupported version {version}"
-        )));
-    }
-    let levels = get_u32(r)? as usize;
-    if levels == 0 || levels > 64 {
-        return Err(CheckpointError::Format(format!("{levels} ladder levels")));
-    }
-    let mut widths = Vec::with_capacity(levels);
-    for _ in 0..levels {
-        widths.push(get_u32(r)? as usize);
-    }
-    let conv_stages = get_u32(r)? as usize;
-    let kernel = get_u32(r)? as usize;
-    let image_side = get_u32(r)? as usize;
-    let image_channels = get_u32(r)? as usize;
-    let classes = get_u32(r)? as usize;
-    if !(1..=16).contains(&conv_stages) || kernel == 0 || image_side == 0 || classes == 0 {
-        return Err(CheckpointError::Format("implausible architecture".into()));
-    }
-    let arch = Arch {
-        ladder: WidthLadder::new(widths),
-        conv_stages,
-        kernel,
-        image_side,
-        image_channels,
-        classes,
-    };
-    let mut net = ConvNet::new(arch.clone(), &mut Prng::new(0));
-    for stage in 0..conv_stages {
-        let w = get_tensor(r)?;
-        let b = get_tensor(r)?;
-        let conv = &mut net.convs_mut()[stage];
-        if w.dims() != conv.weight().dims() || b.dims() != conv.bias().dims() {
-            return Err(CheckpointError::Format(format!(
-                "conv{stage} tensor shape mismatch"
-            )));
-        }
-        conv.weight_mut().data_mut().copy_from_slice(w.data());
-        conv.bias_mut().data_mut().copy_from_slice(b.data());
-    }
-    let w = get_tensor(r)?;
-    let b = get_tensor(r)?;
-    if w.dims() != net.fc().weight().dims() || b.dims() != net.fc().bias().dims() {
-        return Err(CheckpointError::Format("fc tensor shape mismatch".into()));
-    }
-    net.fc_mut()
-        .weight_mut()
-        .data_mut()
-        .copy_from_slice(w.data());
-    net.fc_mut().bias_mut().data_mut().copy_from_slice(b.data());
+    let (arch, tensors) = decode(&read_capped(r)?)?;
+    let mut net = ConvNet::new(arch, &mut Prng::new(0));
+    install(&mut net, &tensors);
     Ok(net)
 }
 
-/// Saves a network to a file path.
+/// The temporary file a save to `path` writes before renaming it into
+/// place: same directory, so the rename never crosses a file system.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_owned();
+    name.push(format!(".{}.tmp", std::process::id()));
+    path.with_file_name(name)
+}
+
+/// Saves a network to a file path, atomically: the bytes go to a
+/// temporary file in the same directory, which is flushed, synced and then
+/// renamed over `path`, and the directory is synced so the rename is
+/// durable. A failed save removes the temporary file and leaves any
+/// existing checkpoint at `path` untouched.
 ///
 /// # Errors
 ///
-/// Returns any underlying I/O error.
-pub fn save_net_to_path(net: &ConvNet, path: &std::path::Path) -> Result<(), CheckpointError> {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    save_net(net, &mut f)
+/// Returns every I/O error of the create, write, flush, syncs and rename.
+pub fn save_net_to_path(net: &ConvNet, path: &Path) -> Result<(), CheckpointError> {
+    let tmp = temp_path(path);
+    let saved = std::fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(&encode_net(net))?;
+            f.flush()?;
+            f.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if saved.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    saved?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    Ok(())
 }
 
 /// Loads a network from a file path.
@@ -195,9 +291,8 @@ pub fn save_net_to_path(net: &ConvNet, path: &std::path::Path) -> Result<(), Che
 /// # Errors
 ///
 /// Returns [`CheckpointError`] on I/O failure or malformed contents.
-pub fn load_net_from_path(path: &std::path::Path) -> Result<ConvNet, CheckpointError> {
-    let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-    load_net(&mut f)
+pub fn load_net_from_path(path: &Path) -> Result<ConvNet, CheckpointError> {
+    load_net(&mut std::fs::File::open(path)?)
 }
 
 /// Loads a checkpoint *into* a live network: the checkpoint must carry the
@@ -215,28 +310,14 @@ pub fn load_net_from_path(path: &std::path::Path) -> Result<ConvNet, CheckpointE
 /// Returns [`CheckpointError`] on I/O failure, malformed contents, or an
 /// architecture mismatch (`net` is untouched in every error case).
 pub fn reload_net<R: Read>(net: &mut ConvNet, r: &mut R) -> Result<(), CheckpointError> {
-    let loaded = load_net(r)?;
-    if loaded.arch() != net.arch() {
-        return Err(CheckpointError::Format(format!(
-            "checkpoint architecture {:?} does not match the live net {:?}",
-            loaded.arch(),
+    let (arch, tensors) = decode(&read_capped(r)?)?;
+    if &arch != net.arch() {
+        return format_err(format!(
+            "checkpoint architecture {arch:?} does not match the live net {:?}",
             net.arch()
-        )));
+        ));
     }
-    for (dst, src) in net.convs_mut().iter_mut().zip(loaded.convs()) {
-        dst.weight_mut()
-            .data_mut()
-            .copy_from_slice(src.weight().data());
-        dst.bias_mut().data_mut().copy_from_slice(src.bias().data());
-    }
-    net.fc_mut()
-        .weight_mut()
-        .data_mut()
-        .copy_from_slice(loaded.fc().weight().data());
-    net.fc_mut()
-        .bias_mut()
-        .data_mut()
-        .copy_from_slice(loaded.fc().bias().data());
+    install(net, &tensors);
     Ok(())
 }
 
@@ -246,12 +327,8 @@ pub fn reload_net<R: Read>(net: &mut ConvNet, r: &mut R) -> Result<(), Checkpoin
 ///
 /// Returns [`CheckpointError`] on I/O failure, malformed contents, or an
 /// architecture mismatch.
-pub fn reload_net_from_path(
-    net: &mut ConvNet,
-    path: &std::path::Path,
-) -> Result<(), CheckpointError> {
-    let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-    reload_net(net, &mut f)
+pub fn reload_net_from_path(net: &mut ConvNet, path: &Path) -> Result<(), CheckpointError> {
+    reload_net(net, &mut std::fs::File::open(path)?)
 }
 
 #[cfg(test)]
@@ -259,6 +336,28 @@ mod tests {
     use super::*;
     use crate::spec::BranchSpec;
     use fluid_nn::ChannelRange;
+
+    fn saved(arch: Arch, seed: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        save_net(&ConvNet::new(arch, &mut Prng::new(seed)), &mut buf).expect("save");
+        buf
+    }
+
+    /// Recomputes the trailer of a hand-edited checkpoint, so the edit
+    /// reaches the checks behind the checksum.
+    fn reseal(buf: &mut Vec<u8>) {
+        buf.truncate(buf.len() - TRAILER);
+        let digest = fnv1a(buf);
+        put_u64(buf, digest);
+    }
+
+    fn format_message(bytes: &[u8]) -> String {
+        match load_net(&mut &bytes[..]) {
+            Err(CheckpointError::Format(why)) => why,
+            Err(e) => panic!("expected a Format error, got {e}"),
+            Ok(_) => panic!("expected a Format error, got a net"),
+        }
+    }
 
     #[test]
     fn roundtrip_preserves_function() {
@@ -277,24 +376,9 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_arch() {
-        let net = ConvNet::new(Arch::tiny_28(), &mut Prng::new(10));
-        let mut buf = Vec::new();
-        save_net(&net, &mut buf).expect("save");
+        let buf = saved(Arch::tiny_28(), 10);
         let loaded = load_net(&mut buf.as_slice()).expect("load");
-        assert_eq!(loaded.arch(), net.arch());
-    }
-
-    #[test]
-    fn transposed_copy_roundtrips() {
-        // Checkpoints serialise tensors in row-major element order; a
-        // transposed copy must survive save → load bit-exactly.
-        let src = Tensor::from_fn(&[6, 10], |i| (i as f32).sin());
-        let t = src.transpose();
-        let mut buf = Vec::new();
-        put_tensor(&mut buf, &t).expect("save");
-        let back = get_tensor(&mut buf.as_slice()).expect("load");
-        assert_eq!(back, t);
-        assert_eq!(back.at2(7, 2), src.at2(2, 7));
+        assert_eq!(loaded.arch(), &Arch::tiny_28());
     }
 
     #[test]
@@ -305,52 +389,77 @@ mod tests {
 
     #[test]
     fn truncated_file_rejected() {
-        let net = ConvNet::new(Arch::tiny_28(), &mut Prng::new(11));
-        let mut buf = Vec::new();
-        save_net(&net, &mut buf).expect("save");
+        let mut buf = saved(Arch::tiny_28(), 11);
         buf.truncate(buf.len() / 2);
-        assert!(load_net(&mut buf.as_slice()).is_err());
+        assert!(format_message(&buf).contains("checksum"));
     }
 
     #[test]
     fn over_rank_tensor_rejected_not_panicking() {
-        // A corrupt rank past fluid_tensor::MAX_RANK must come back as a
-        // Format error (the all-or-nothing loader contract) — Shape stores
-        // dims inline and would panic if the guard let it through.
-        let net = ConvNet::new(Arch::tiny_28(), &mut Prng::new(12));
-        let mut buf = Vec::new();
-        save_net(&net, &mut buf).expect("save");
-        // First tensor's rank field sits after the header: magic + version
-        // + ladder (level count + widths) + five u32 arch fields.
-        let levels = u32::from_le_bytes(buf[8..12].try_into().expect("len")) as usize;
-        let rank_at = 4 + 4 + 4 + levels * 4 + 5 * 4;
+        // A rank past fluid_tensor::MAX_RANK must come back as a Format
+        // error (the all-or-nothing loader contract) — Shape stores dims
+        // inline and would panic if the guard let it through.
+        let mut buf = saved(Arch::tiny_28(), 12);
+        // After magic, version, the 4-level ladder and five arch fields.
+        let rank_at = 4 + 4 + 4 + 4 * 4 + 5 * 4;
         buf[rank_at..rank_at + 4].copy_from_slice(&5u32.to_le_bytes());
-        let err = load_net(&mut buf.as_slice()).expect_err("must reject rank 5");
-        assert!(
-            matches!(&err, CheckpointError::Format(m) if m.contains("rank")),
-            "{err}"
-        );
+        reseal(&mut buf);
+        assert!(format_message(&buf).contains("rank"));
     }
 
     #[test]
     fn wrong_version_rejected() {
-        let net = ConvNet::new(Arch::tiny_28(), &mut Prng::new(12));
-        let mut buf = Vec::new();
-        save_net(&net, &mut buf).expect("save");
+        let mut buf = saved(Arch::tiny_28(), 12);
         buf[4] = 99; // clobber version
-        assert!(load_net(&mut buf.as_slice()).is_err());
+        assert!(format_message(&buf).contains("version 99"));
+        buf[4] = 1;
+        assert!(format_message(&buf).contains("re-save"));
     }
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("fluid_ckpt_test");
+        let dir = std::env::temp_dir().join(format!("fluid_ckpt_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmpdir");
         let path = dir.join("model.fldn");
         let net = ConvNet::new(Arch::tiny_28(), &mut Prng::new(13));
         save_net_to_path(&net, &path).expect("save");
         let loaded = load_net_from_path(&path).expect("load");
         assert_eq!(loaded.fc().weight().data(), net.fc().weight().data());
-        let _ = std::fs::remove_file(&path);
+        assert!(
+            !temp_path(&path).exists(),
+            "the temporary file outlived the save"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_into_missing_directory_is_an_error() {
+        let path = std::env::temp_dir()
+            .join(format!("fluid_ckpt_missing_{}", std::process::id()))
+            .join("model.fldn");
+        let net = ConvNet::new(Arch::tiny_28(), &mut Prng::new(17));
+        assert!(save_net_to_path(&net, &path).is_err());
+        assert!(!path.exists());
+    }
+
+    #[test]
+    fn failed_save_leaves_the_old_checkpoint_intact() {
+        let dir = std::env::temp_dir().join(format!("fluid_ckpt_keep_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        let path = dir.join("model.fldn");
+        save_net_to_path(&ConvNet::new(Arch::tiny_28(), &mut Prng::new(18)), &path).expect("save");
+        let before = std::fs::read(&path).expect("read");
+        // A directory where the temporary file goes makes the next save
+        // fail at its first step.
+        std::fs::create_dir(temp_path(&path)).expect("block the temp path");
+        let other = ConvNet::new(Arch::tiny_28(), &mut Prng::new(19));
+        assert!(save_net_to_path(&other, &path).is_err());
+        assert_eq!(
+            std::fs::read(&path).expect("read"),
+            before,
+            "old file changed"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -370,17 +479,15 @@ mod tests {
 
     #[test]
     fn reload_rejects_arch_mismatch_and_leaves_net_untouched() {
-        let source = ConvNet::new(Arch::tiny(), &mut Prng::new(33)); // 14×14
+        let buf = saved(Arch::tiny(), 33); // 14×14
         let mut live = ConvNet::new(Arch::tiny_28(), &mut Prng::new(34));
         let before: Vec<f32> = live.fc().weight().data().to_vec();
-        let mut buf = Vec::new();
-        save_net(&source, &mut buf).expect("save");
         let err = reload_net(&mut live, &mut buf.as_slice()).expect_err("arch mismatch");
         assert!(err.to_string().contains("architecture"), "{err}");
         assert_eq!(live.fc().weight().data(), &before[..], "net was touched");
         // A truncated checkpoint is also rejected without a partial write.
         let err = reload_net(&mut live, &mut buf[..buf.len() / 2].as_ref()).expect_err("truncated");
-        assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+        assert!(matches!(err, CheckpointError::Format(_)), "{err}");
         assert_eq!(live.fc().weight().data(), &before[..]);
     }
 }

@@ -49,7 +49,7 @@ mod static_model;
 pub use arch::{Arch, WidthLadder};
 pub use checkpoint::{
     load_net, load_net_from_path, reload_net, reload_net_from_path, save_net, save_net_to_path,
-    CheckpointError,
+    CheckpointError, MAX_CHECKPOINT_BYTES,
 };
 pub use dynamic_model::DynamicModel;
 pub use flops::{branch_cost, static_partition_comm_bytes, subnet_cost, CostReport};

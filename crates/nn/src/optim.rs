@@ -263,6 +263,18 @@ mod tests {
     }
 
     #[test]
+    fn weight_decay_adds_to_the_gradient() {
+        // One plain step: p ← p − lr·(g + wd·p), evaluated in f32.
+        let (lr, g, wd) = (0.1f32, 0.5f32, 0.1f32);
+        let mut p = Tensor::from_vec(vec![1.0], &[1]);
+        let grad = Tensor::from_vec(vec![g], &[1]);
+        let mut set = ParamSet::new();
+        set.push(&mut p, &grad);
+        Sgd::new(lr, 0.0, wd).step(&mut set);
+        assert_eq!(p.data()[0], 1.0 - lr * (g + wd * 1.0));
+    }
+
+    #[test]
     fn masked_elements_untouched_even_with_decay() {
         let mut p = Tensor::from_vec(vec![1.0, 2.0], &[2]);
         let g = Tensor::from_vec(vec![1.0, 0.0], &[2]);

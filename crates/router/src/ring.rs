@@ -21,23 +21,7 @@
 //! Both properties are pinned by property tests in
 //! `crates/router/tests/routing_props.rs`.
 
-/// SplitMix64 finalizer: a cheap, well-mixed 64-bit bijection.
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a over a byte string; seeds the per-node half of the HRW score.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+use fluid_tensor::codec::{fnv1a, mix64};
 
 /// The HRW score of `node` for `shard`: combine the node hash with a
 /// mixed shard index, then finalize. `shard + 1` keeps shard 0 from

@@ -60,6 +60,7 @@ fn view(router: &Router) -> (u64, Vec<(String, String, bool)>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    #[test]
     fn routers_converge_within_bounded_rounds_after_heal(
         n_routers in 2usize..=4,
         ops in proptest::collection::vec(op(), 1..40),

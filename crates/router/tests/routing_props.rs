@@ -26,6 +26,7 @@ proptest! {
 
     /// Same membership + config ⇒ the same shard for every key, across
     /// independently built maps (a router restart).
+    #[test]
     fn restart_reproduces_every_assignment(
         nodes in node_ids(),
         shards in 1usize..=128,
@@ -45,6 +46,7 @@ proptest! {
     /// The membership order must not matter beyond index naming: building
     /// from the same ids yields replica sets naming the same *nodes* for
     /// every shard, whatever order the ids arrived in.
+    #[test]
     fn membership_order_is_irrelevant(
         nodes in node_ids(),
         shards in 1usize..=64,
@@ -67,6 +69,7 @@ proptest! {
     /// Removing one node remaps only the shards it served: every shard
     /// whose replica set did not contain the removed node keeps exactly
     /// the same replica set (by node *name*), in the same order.
+    #[test]
     fn removing_a_node_touches_only_its_shards(
         nodes in node_ids(),
         shards in 1usize..=128,
@@ -108,6 +111,7 @@ proptest! {
     /// Adding a node only ever *inserts* it into some replica sets: a
     /// shard that does not adopt the newcomer keeps its replica set
     /// verbatim.
+    #[test]
     fn adding_a_node_touches_only_adopting_shards(
         nodes in node_ids(),
         shards in 1usize..=128,
@@ -144,6 +148,7 @@ proptest! {
     /// Key → shard assignment never depends on membership at all (only
     /// the shard count), so resharding is the only operation that moves a
     /// key between buckets.
+    #[test]
     fn key_to_shard_ignores_membership(
         nodes in node_ids(),
         shards in 1usize..=128,
@@ -160,6 +165,7 @@ proptest! {
     /// dynamic membership inherits every ShardMap property (restart
     /// determinism, minimal remap) by construction, whatever order the
     /// announcements arrived in.
+    #[test]
     fn announced_churn_matches_a_fresh_map(
         ops in proptest::collection::vec((any::<bool>(), 0usize..8), 1..24),
         shards in 1usize..=64,
@@ -207,6 +213,7 @@ proptest! {
     /// An announced Leave remaps only the shards the departing node
     /// served — the minimal-remap guarantee, asserted through the live
     /// membership path (tombstone + rebuild) rather than on raw maps.
+    #[test]
     fn an_announced_leave_touches_only_the_victims_shards(
         nodes in node_ids(),
         shards in 1usize..=64,

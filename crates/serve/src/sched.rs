@@ -553,6 +553,16 @@ mod tests {
     }
 
     #[test]
+    fn idle_bucket_banks_exactly_its_burst() {
+        // 10 s idle at 10 tokens/s would bank 100 tokens; the cap keeps 3.
+        let t0 = Instant::now();
+        let mut b = TokenBucket::new(10.0, 3.0, t0);
+        let t1 = t0 + Duration::from_secs(10);
+        let admitted = (0..10).filter(|_| b.try_take(t1)).count();
+        assert_eq!(admitted, 3);
+    }
+
+    #[test]
     fn infinite_rate_never_meters() {
         let t0 = Instant::now();
         let mut b = TokenBucket::new(f64::INFINITY, f64::INFINITY, t0);
@@ -602,6 +612,7 @@ mod tests {
         /// every arrival, by a completion only while rows are queued (the
         /// worker's `Done` rule), and by the clock only while it waits on a
         /// deadline, which it does only with rows queued.
+        #[test]
         fn batches_never_enter_saturation_and_never_wait_on_an_idle_worker(
             max_batch in 1usize..=8,
             workers in 0usize..=3,

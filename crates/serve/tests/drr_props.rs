@@ -31,6 +31,7 @@ proptest! {
     /// `W` is the total weight: one full DRR round spends at most `2W`
     /// rows (a fresh quantum plus at most one retained deficit per
     /// queue), and a round serves every non-empty queue.
+    #[test]
     fn no_queue_starves_under_a_continuous_backlog(
         weights in ring(),
         max_batch in 1usize..=16,
@@ -89,6 +90,7 @@ proptest! {
     /// Assembly-level conservation: uniquely-tagged items with random row
     /// counts all board exactly once, in FIFO order within their queue,
     /// and no batch exceeds `max_batch` rows.
+    #[test]
     fn every_item_boards_exactly_once_in_fifo_order(
         weights in ring(),
         max_batch in 4usize..=16,
@@ -151,6 +153,7 @@ proptest! {
     /// tenanted submissions with random quotas, every outcome is exactly
     /// one of {ticket that resolves, explicit quota verdict, explicit
     /// shed}, and the metrics ledger agrees with the client's tally.
+    #[test]
     fn every_ticket_resolves_exactly_once(
         bursts in proptest::collection::vec(1u32..=6, 2..=3),
         submits in 10usize..=40,

@@ -32,6 +32,13 @@
 //! the transposed product, with no copy and no special kernel. See
 //! `docs/TENSOR.md`.
 //!
+//! ## The byte codec
+//!
+//! [`codec`] is the one little-endian format for tensors, strings and
+//! integers: the distributed runtime's wire messages and the model
+//! checkpoint both write and read through it, and it holds the shared
+//! FNV-1a and SplitMix64 hashes.
+//!
 //! ## The compute-kernel layer
 //!
 //! Every kernel here fans out over the [`pool`] worker threads
@@ -51,6 +58,7 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![deny(missing_docs)]
 
+pub mod codec;
 mod gemm;
 mod im2col;
 mod init;

@@ -36,11 +36,9 @@ impl Prng {
 
     /// Next raw 64-bit value (splitmix64).
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let x = self.state;
+        self.state = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        crate::codec::mix64(x)
     }
 
     /// Uniform `f64` in `[0, 1)`.

@@ -1,6 +1,7 @@
 //! Live failure-matrix test: run a real master/worker pair per model
 //! family, inject failures, and verify the survivors — the executable
-//! version of the paper's Fig. 1(b,c) — plus the router tier's rows:
+//! version of the paper's Fig. 1(b,c) — plus a corrupt-checkpoint reload
+//! under live serving, and the router tier's rows:
 //! dead node at connect, node dying mid-request, rejecting node, and a
 //! shard with every replica down. Each must end in a *fast, explicit*
 //! verdict, never a hang.
@@ -163,6 +164,57 @@ fn static_split_halves_are_not_functions() {
         full_out.max_abs_diff(&degraded) > 1e-3,
         "static half unexpectedly equals the full model"
     );
+}
+
+#[test]
+fn corrupt_checkpoint_reload_leaves_the_serving_model_serving() {
+    // The reload path of `fluidctl reload`: weights are reloaded into the
+    // live net, then an engine built from it is swapped in. A checkpoint
+    // with one flipped weight bit must fail the reload with a Format
+    // error, leave the net bit-identical, and keep the server answering
+    // with the same bits before and after a swap to the untouched net.
+    use fluid_models::{reload_net_from_path, save_net, save_net_to_path, CheckpointError};
+    use fluid_serve::{EngineBackend, ServeConfig, Server};
+    use std::time::Duration;
+
+    let model = fluid_models::FluidModel::new(Arch::tiny_28(), &mut Prng::new(43));
+    let spec = model.spec("combined100").expect("spec").clone();
+    let mut net = model.net().clone();
+    let engine = |name: &str, net: &fluid_models::ConvNet| {
+        Box::new(EngineBackend::new(name, net.clone(), spec.clone())) as _
+    };
+    let server = Server::start(ServeConfig::default(), vec![engine("v1", &net)]).expect("start");
+    let answer = || server.handle().infer(x()).expect("serve");
+    let serving = answer();
+
+    let dir = std::env::temp_dir().join(format!("fluid_reload_row_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let path = dir.join("corrupt.fldn");
+    let replacement = fluid_models::ConvNet::new(Arch::tiny_28(), &mut Prng::new(44));
+    save_net_to_path(&replacement, &path).expect("save");
+    let mut bytes = std::fs::read(&path).expect("read");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&path, &bytes).expect("corrupt");
+
+    let checkpoint = |net: &fluid_models::ConvNet| {
+        let mut out = Vec::new();
+        save_net(net, &mut out).expect("save");
+        out
+    };
+    let before = checkpoint(&net);
+    let err = reload_net_from_path(&mut net, &path).expect_err("corrupt file reloaded");
+    assert!(matches!(err, CheckpointError::Format(_)), "{err}");
+    assert!(checkpoint(&net) == before, "failed reload changed the net");
+    assert_eq!(answer().data(), serving.data());
+
+    server
+        .elastic()
+        .hot_swap(vec![engine("v2", &net)], Duration::from_secs(10))
+        .expect("swap");
+    assert_eq!(answer().data(), serving.data());
+    assert_eq!(server.shutdown().failed, 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,13 +18,13 @@
 //! Run on the dispatched kernels and under `FLUID_FORCE_SCALAR=1`: both
 //! legs must read the same digests.
 
-use fluid_dist::{
-    FaultPlan, FaultSpec, GossipNode, InProcTransport, Message, Mode, NamedTensor, Transport,
+use fluid_dist::{FaultPlan, FaultSpec, InProcTransport, Message, Transport};
+use fluid_integration_tests::{
+    calibration_batch, fresh_paper_fluid, golden_messages, quick_trained_fluid,
 };
-use fluid_integration_tests::{calibration_batch, fresh_paper_fluid, quick_trained_fluid};
-use fluid_models::{calibrate, save_net, BranchSpec, QuantizedNet};
-use fluid_nn::ChannelRange;
-use fluid_tensor::{Prng, Tensor};
+use fluid_models::{calibrate, save_net, QuantizedNet};
+use fluid_tensor::codec::fnv1a;
+use fluid_tensor::Tensor;
 
 const UPDATE_RULE: &str = "a PR that changes a digest updates it and names the cause in CHANGES.md";
 
@@ -55,10 +55,12 @@ const FAULT_SCHEDULE: u64 = 0x9ffcf41aa3a31cb4;
 const FAULT_LABELS: [&str; 3] = ["router-0->node-0", "router-0->node-1", "router-1->node-0"];
 const FAULT_SENDS: u64 = 256;
 
-/// `save_net` bytes after the seeded `train_nested` run on `Arch::tiny_28()`.
-const TRAINED_CHECKPOINT: u64 = 0xd50b5337f688a6c1;
+/// `save_net` bytes after the seeded `train_nested` run on `Arch::tiny_28()`
+/// (checkpoint version 2: the version field and the FNV-1a trailer are
+/// part of the bytes).
+const TRAINED_CHECKPOINT: u64 = 0xbc8931ab4023aecd;
 
-/// `(wire tag, digest)` of `Message::encode` for each of [`seeded_messages`].
+/// `(wire tag, digest)` of `Message::encode` for each of [`golden_messages`].
 const WIRE: &[(u8, u64)] = &[
     (1, 0x48e71abb96fa62cc),
     (2, 0xbf379f546b622ade),
@@ -79,15 +81,12 @@ const WIRE: &[(u8, u64)] = &[
     (17, 0xde8c78cf546d022e),
 ];
 
-/// FNV-1a, 64-bit.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 fn digest_f32(values: &[f32]) -> u64 {
-    fnv1a(values.iter().flat_map(|v| v.to_bits().to_le_bytes()))
+    let bytes: Vec<u8> = values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    fnv1a(&bytes)
 }
 
 /// The seeded input batch every logits digest is taken over.
@@ -163,7 +162,7 @@ fn fault_schedule_matches_golden_digest() {
             );
         }
     }
-    let got = fnv1a(fates);
+    let got = fnv1a(&fates);
     assert!(
         got == FAULT_SCHEDULE,
         "seeded fault schedule drifted: digest {got:#018x}; {UPDATE_RULE}"
@@ -175,127 +174,22 @@ fn trained_checkpoint_matches_golden_digest() {
     let (model, _) = quick_trained_fluid(4242);
     let mut bytes = Vec::new();
     save_net(model.net(), &mut bytes).expect("save");
-    let got = fnv1a(bytes);
+    let got = fnv1a(&bytes);
     assert!(
         got == TRAINED_CHECKPOINT,
         "seeded training drifted: checkpoint digest {got:#018x}; {UPDATE_RULE}"
     );
 }
 
-fn seeded_tensor(rng: &mut Prng, dims: &[usize]) -> Tensor {
-    Tensor::from_fn(dims, |_| rng.uniform(-1.0, 1.0))
-}
-
-fn seeded_gossip_node(rng: &mut Prng, id: &str) -> GossipNode {
-    GossipNode {
-        id: id.into(),
-        addr: format!("127.0.0.1:{}", 1024 + rng.below(60_000)),
-        alive: rng.chance(0.5),
-        member_version: rng.next_u64(),
-        up: rng.chance(0.5),
-        probe_in_ms: rng.next_u64() as u32,
-        health_version: rng.next_u64(),
-        queue_depth: rng.next_u64() as u32,
-    }
-}
-
-/// One message per wire tag, in tag order, every number drawn from one
-/// seeded stream.
-fn seeded_messages() -> Vec<Message> {
-    let rng = &mut Prng::new(1729);
-    vec![
-        Message::Hello {
-            device: "jetson-0".into(),
-        },
-        Message::DeployBranch {
-            branch: BranchSpec {
-                name: "upper50".into(),
-                channels: vec![ChannelRange::new(2, 4), ChannelRange::new(8, 16)],
-                fc_bias: true,
-            },
-            weights: vec![
-                NamedTensor {
-                    name: "conv0.weight".into(),
-                    tensor: seeded_tensor(rng, &[2, 1, 3, 3]),
-                },
-                NamedTensor {
-                    name: "conv0.bias".into(),
-                    tensor: seeded_tensor(rng, &[2]),
-                },
-            ],
-        },
-        Message::DeployAck {
-            branch_name: "upper50".into(),
-        },
-        Message::Infer {
-            request_id: rng.next_u64(),
-            input: seeded_tensor(rng, &[1, 1, 4, 4]),
-        },
-        Message::Logits {
-            request_id: rng.next_u64(),
-            logits: seeded_tensor(rng, &[2, 10]),
-        },
-        Message::Heartbeat {
-            seq: rng.next_u64(),
-        },
-        Message::HeartbeatAck {
-            seq: rng.next_u64(),
-        },
-        Message::SwitchMode {
-            mode: Mode::HighThroughput,
-        },
-        Message::Shutdown,
-        Message::Reject {
-            request_id: rng.next_u64(),
-            reason: "queue full (cap 64)".into(),
-        },
-        Message::InferKeyed {
-            request_id: rng.next_u64(),
-            shard_key: rng.next_u64(),
-            input: seeded_tensor(rng, &[1, 1, 4, 4]),
-        },
-        Message::InferTenant {
-            request_id: rng.next_u64(),
-            tenant: rng.next_u64(),
-            input: seeded_tensor(rng, &[1, 1, 4, 4]),
-        },
-        Message::Join {
-            node: "node-0".into(),
-            addr: "127.0.0.1:7811".into(),
-        },
-        Message::Leave {
-            node: "node-1".into(),
-        },
-        Message::NodeHeartbeat {
-            node: "node-2".into(),
-            addr: "127.0.0.1:7812".into(),
-            seq: rng.next_u64(),
-            queue_depth: rng.below(64) as u32,
-        },
-        Message::Gossip {
-            from: "router-0".into(),
-            epoch: rng.next_u64(),
-            shard_pending: (0..8).map(|_| rng.below(64) as u32).collect(),
-            nodes: vec![
-                seeded_gossip_node(rng, "node-0"),
-                seeded_gossip_node(rng, "node-1"),
-            ],
-        },
-        Message::MembershipAck {
-            epoch: rng.next_u64(),
-        },
-    ]
-}
-
 #[test]
 fn wire_encoding_matches_golden_digests() {
-    let messages = seeded_messages();
+    let messages = golden_messages();
     let got: Vec<(u8, u64)> = messages
         .iter()
         .map(|m| {
             let bytes = m.encode();
             assert_eq!(Message::decode(&bytes).expect("decode"), *m, "round trip");
-            (bytes[0], fnv1a(bytes))
+            (bytes[0], fnv1a(&bytes))
         })
         .collect();
     let tags: Vec<u8> = got.iter().map(|&(tag, _)| tag).collect();
