@@ -670,6 +670,78 @@ mod tests {
     }
 
     #[test]
+    fn huge_tensor_claim_rejected_cheaply() {
+        // Infer message whose tensor header claims 2^32-ish elements with no
+        // data behind it: must error, not allocate.
+        let mut payload = vec![TAG_INFER];
+        payload.extend_from_slice(&7u64.to_le_bytes());
+        payload.extend_from_slice(&2u32.to_le_bytes()); // rank 2
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Message::decode(payload).is_err());
+    }
+
+    #[test]
+    fn over_rank_tensor_rejected_not_panicking() {
+        // Rank past fluid_tensor::MAX_RANK must be a Decode error — Shape
+        // stores dims inline and would panic if this reached Tensor.
+        let mut payload = vec![TAG_INFER];
+        payload.extend_from_slice(&7u64.to_le_bytes());
+        payload.extend_from_slice(&5u32.to_le_bytes()); // rank 5 > MAX_RANK
+        for _ in 0..5 {
+            payload.extend_from_slice(&1u32.to_le_bytes());
+        }
+        payload.extend_from_slice(&1f32.to_le_bytes());
+        assert!(Message::decode(payload).is_err());
+    }
+
+    #[test]
+    fn truncated_tenant_frame_rejected() {
+        // Tenant frame cut off mid-tensor-header: a Decode error, never a
+        // panic or a bogus message.
+        let full = Message::InferTenant {
+            request_id: 1,
+            tenant: 7,
+            input: Tensor::from_vec(vec![1.0], &[1, 1]),
+        }
+        .encode();
+        for cut in 1..full.len() {
+            assert!(
+                Message::decode(&full[..cut]).is_err(),
+                "truncation at {cut} bytes decoded"
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_gossip_frame_rejected() {
+        // Gossip is the widest membership frame; cut it at every offset and
+        // demand a clean Decode error each time.
+        let full = Message::Gossip {
+            from: "router-0".into(),
+            epoch: 3,
+            shard_pending: vec![1, 2],
+            nodes: vec![GossipNode {
+                id: "n".into(),
+                addr: "a:1".into(),
+                alive: true,
+                member_version: 1,
+                up: false,
+                probe_in_ms: 40,
+                health_version: 2,
+                queue_depth: 1,
+            }],
+        }
+        .encode();
+        for cut in 1..full.len() {
+            assert!(
+                Message::decode(&full[..cut]).is_err(),
+                "truncation at {cut} bytes decoded"
+            );
+        }
+    }
+
+    #[test]
     fn inverted_range_rejected() {
         let branch = BranchSpec::uniform("b", ChannelRange::new(2, 4), 1, true);
         let mut payload = Message::DeployBranch {
@@ -703,6 +775,69 @@ mod tests {
         payload.extend_from_slice(&0u32.to_le_bytes()); // no shard depths
         payload.extend_from_slice(&u32::MAX.to_le_bytes()); // node count lie
         assert!(Message::decode(payload).is_err());
+    }
+
+    fn decode_error(payload: &[u8]) -> String {
+        match Message::decode(payload) {
+            Err(DistError::Decode(why)) => why,
+            other => panic!("expected a Decode error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn heartbeat_is_a_tag_then_a_little_endian_seq() {
+        let payload = Message::Heartbeat {
+            seq: 0x0102_0304_0506_0708,
+        }
+        .encode();
+        assert_eq!(payload, [TAG_HEARTBEAT, 8, 7, 6, 5, 4, 3, 2, 1]);
+    }
+
+    #[test]
+    fn empty_frame_rejected() {
+        decode_error(&[]);
+    }
+
+    #[test]
+    fn unknown_tags_rejected() {
+        for tag in [0, TAG_MEMBERSHIP_ACK + 1, u8::MAX] {
+            assert!(decode_error(&[tag]).contains("unknown message tag"));
+        }
+    }
+
+    #[test]
+    fn unknown_mode_rejected() {
+        assert!(decode_error(&[TAG_SWITCH_MODE, 2]).contains("unknown mode 2"));
+    }
+
+    #[test]
+    fn non_utf8_device_name_rejected() {
+        let mut payload = vec![TAG_HELLO];
+        put_u32(&mut payload, 1);
+        payload.push(0xFF);
+        assert!(decode_error(&payload).contains("utf-8"));
+    }
+
+    #[test]
+    fn branch_stage_count_is_bounded() {
+        let mut payload = vec![TAG_DEPLOY];
+        put_str(&mut payload, "b");
+        put_u32(&mut payload, MAX_BRANCH_STAGES as u32 + 1);
+        assert!(decode_error(&payload).contains("stages"));
+    }
+
+    #[test]
+    fn weight_count_past_the_frame_rejected() {
+        // A deploy frame claiming u32::MAX weight windows with none behind
+        // the count.
+        let mut payload = Message::DeployBranch {
+            branch: BranchSpec::uniform("b", ChannelRange::prefix(2), 1, true),
+            weights: vec![],
+        }
+        .encode();
+        let count_at = payload.len() - 4;
+        payload[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        decode_error(&payload);
     }
 
     #[test]

@@ -417,6 +417,198 @@ mod tests {
     }
 
     #[test]
+    fn encoding_is_stable_across_a_load() {
+        for arch in [Arch::tiny(), Arch::tiny_28(), Arch::paper()] {
+            let buf = saved(arch, 20);
+            let again = encode_net(&load_net(&mut buf.as_slice()).expect("load"));
+            assert_eq!(again, buf, "save ∘ load changed the bytes");
+        }
+    }
+
+    #[test]
+    fn shapes_describe_the_nets_tensors() {
+        for arch in [Arch::tiny(), Arch::tiny_28(), Arch::paper()] {
+            let net = ConvNet::new(arch.clone(), &mut Prng::new(21));
+            let mut held: Vec<Vec<usize>> = Vec::new();
+            for conv in net.convs() {
+                held.push(conv.weight().dims().to_vec());
+                held.push(conv.bias().dims().to_vec());
+            }
+            held.push(net.fc().weight().dims().to_vec());
+            held.push(net.fc().bias().dims().to_vec());
+            let shapes = shapes(&arch).expect("no overflow");
+            assert_eq!(shapes, held, "{arch:?}");
+            // Everything between the header and the trailer is tensors.
+            let header = 4 + 4 + 4 + 4 * arch.ladder.levels() + 5 * 4;
+            let body = encode_net(&net).len() - header - TRAILER;
+            assert_eq!(tensor_bytes(&shapes), Some(body), "{arch:?}");
+        }
+    }
+
+    #[test]
+    fn empty_and_header_only_inputs_are_format_errors() {
+        format_message(&[]);
+        let mut header = MAGIC.to_vec();
+        put_u32(&mut header, VERSION);
+        assert!(format_message(&header).contains("checksum"));
+    }
+
+    #[test]
+    fn any_edit_behind_the_header_fails_the_checksum() {
+        let buf = saved(Arch::tiny_28(), 22);
+        let mut flipped = buf.clone();
+        let mid = buf.len() / 2;
+        flipped[mid] ^= 0x10;
+        assert!(format_message(&flipped).contains("checksum"));
+        let mut appended = buf.clone();
+        appended.push(0);
+        assert!(format_message(&appended).contains("checksum"));
+        let mut trailer = buf;
+        *trailer.last_mut().expect("non-empty") ^= 1;
+        assert!(format_message(&trailer).contains("checksum"));
+    }
+
+    #[test]
+    fn ladder_level_count_is_bounded() {
+        for levels in [0u32, 65] {
+            let mut buf = MAGIC.to_vec();
+            put_u32(&mut buf, VERSION);
+            put_u32(&mut buf, levels);
+            for w in 1..=levels {
+                put_u32(&mut buf, w);
+            }
+            buf.extend_from_slice(&[0; TRAILER]);
+            reseal(&mut buf);
+            assert!(format_message(&buf).contains("ladder levels"), "{levels}");
+        }
+    }
+
+    #[test]
+    fn conv_stage_count_is_bounded() {
+        // conv_stages is the first field after the 4-level ladder.
+        let stages_at = 4 + 4 + 4 + 4 * 4;
+        for stages in [0u32, 17] {
+            let mut buf = saved(Arch::tiny_28(), 23);
+            buf[stages_at..stages_at + 4].copy_from_slice(&stages.to_le_bytes());
+            reseal(&mut buf);
+            assert!(format_message(&buf).contains("implausible"), "{stages}");
+        }
+    }
+
+    #[test]
+    fn permuted_tensor_dims_are_rejected() {
+        // The first conv weight is [8, 1, 3, 3]; [1, 8, 3, 3] has the same
+        // byte count, so only the shape check can catch it.
+        let mut buf = saved(Arch::tiny_28(), 24);
+        let dims_at = 4 + 4 + 4 + 4 * 4 + 5 * 4 + 4;
+        assert_eq!(buf[dims_at..dims_at + 8], [8, 0, 0, 0, 1, 0, 0, 0]);
+        buf[dims_at] = 1;
+        buf[dims_at + 4] = 8;
+        reseal(&mut buf);
+        assert!(format_message(&buf).contains("expected [8, 1, 3, 3]"));
+    }
+
+    #[test]
+    fn read_failure_is_an_io_error() {
+        struct Broken;
+        impl Read for Broken {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk gone"))
+            }
+        }
+        let err = load_net(&mut Broken).expect_err("must fail");
+        assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+        let path = std::env::temp_dir()
+            .join(format!("fluid_ckpt_absent_{}", std::process::id()))
+            .join("model.fldn");
+        let err = load_net_from_path(&path).expect_err("must fail");
+        assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+    }
+
+    /// A writer that fails write number `fail_write` (0-based) or, when
+    /// that is `None`, its flush.
+    struct FailingWriter {
+        fail_write: Option<usize>,
+        writes: usize,
+    }
+
+    impl Write for FailingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.fail_write == Some(self.writes) {
+                return Err(io::Error::other("write refused"));
+            }
+            self.writes += 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            match self.fail_write {
+                None => Err(io::Error::other("flush refused")),
+                Some(_) => Ok(()),
+            }
+        }
+    }
+
+    #[test]
+    fn save_net_returns_a_write_error() {
+        let net = ConvNet::new(Arch::tiny_28(), &mut Prng::new(25));
+        let mut w = FailingWriter {
+            fail_write: Some(0),
+            writes: 0,
+        };
+        assert!(matches!(
+            save_net(&net, &mut w),
+            Err(CheckpointError::Io(_))
+        ));
+    }
+
+    #[test]
+    fn save_net_returns_a_flush_error() {
+        let net = ConvNet::new(Arch::tiny_28(), &mut Prng::new(26));
+        let mut w = FailingWriter {
+            fail_write: None,
+            writes: 0,
+        };
+        assert!(matches!(
+            save_net(&net, &mut w),
+            Err(CheckpointError::Io(_))
+        ));
+        assert_eq!(w.writes, 1, "the bytes go down in one write");
+    }
+
+    #[test]
+    fn save_replaces_an_existing_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("fluid_ckpt_replace_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        let path = dir.join("model.fldn");
+        let first = ConvNet::new(Arch::tiny_28(), &mut Prng::new(27));
+        let second = ConvNet::new(Arch::tiny_28(), &mut Prng::new(28));
+        save_net_to_path(&first, &path).expect("save");
+        save_net_to_path(&second, &path).expect("save over");
+        assert_eq!(std::fs::read(&path).expect("read"), encode_net(&second));
+        let names: Vec<_> = std::fs::read_dir(&dir).expect("list").collect();
+        assert_eq!(names.len(), 1, "a temporary file was left behind");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reload_from_a_damaged_file_leaves_the_net_untouched() {
+        let dir = std::env::temp_dir().join(format!("fluid_ckpt_damaged_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        let path = dir.join("model.fldn");
+        let mut buf = saved(Arch::tiny_28(), 29);
+        let last = buf.len() - TRAILER - 1;
+        buf[last] ^= 0x01;
+        std::fs::write(&path, &buf).expect("write");
+        let mut live = ConvNet::new(Arch::tiny_28(), &mut Prng::new(30));
+        let before = encode_net(&live);
+        let err = reload_net_from_path(&mut live, &path).expect_err("damaged");
+        assert!(err.to_string().contains("checksum"), "{err}");
+        assert_eq!(encode_net(&live), before, "net was touched");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn file_roundtrip() {
         let dir = std::env::temp_dir().join(format!("fluid_ckpt_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmpdir");

@@ -223,6 +223,157 @@ mod tests {
     }
 
     #[test]
+    fn scalars_are_little_endian_and_read_back() {
+        let mut buf = Vec::new();
+        put_u8(&mut buf, 0xAB);
+        put_u32(&mut buf, 0x0102_0304);
+        put_u64(&mut buf, 0x0102_0304_0506_0708);
+        assert_eq!(
+            buf,
+            [0xAB, 4, 3, 2, 1, 8, 7, 6, 5, 4, 3, 2, 1],
+            "least significant byte first"
+        );
+        let mut c = Cursor::new(&buf);
+        assert_eq!(c.u8(), Ok(0xAB));
+        assert_eq!(c.u32(), Ok(0x0102_0304));
+        assert_eq!(c.remaining(), 8);
+        assert_eq!(c.u64(), Ok(0x0102_0304_0506_0708));
+        c.finish().expect("whole buffer");
+    }
+
+    #[test]
+    fn strings_roundtrip_empty_and_multibyte() {
+        let mut buf = Vec::new();
+        for s in ["", "node-0", "Gerät ✓"] {
+            put_str(&mut buf, s);
+        }
+        // The length prefix counts bytes, not chars.
+        assert_eq!(buf[14..18], 10u32.to_le_bytes());
+        let mut c = Cursor::new(&buf);
+        for s in ["", "node-0", "Gerät ✓"] {
+            assert_eq!(c.string().as_deref(), Ok(s));
+        }
+        c.finish().expect("whole buffer");
+    }
+
+    #[test]
+    fn invalid_utf8_string_is_an_error() {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 2);
+        buf.extend_from_slice(&[0xC3, 0x28]);
+        let err = Cursor::new(&buf).string().expect_err("not utf-8");
+        assert!(err.0.contains("utf-8"), "{err}");
+    }
+
+    #[test]
+    fn string_longer_than_its_bytes_is_an_error() {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, u32::MAX);
+        buf.extend_from_slice(b"abc");
+        assert!(Cursor::new(&buf).string().is_err());
+    }
+
+    #[test]
+    fn short_read_fails_without_moving_the_cursor() {
+        let buf = [1u8, 2, 3];
+        let mut c = Cursor::new(&buf);
+        let err = c.u32().expect_err("three bytes left");
+        assert_eq!(err.0, "need 4 bytes at offset 0, have 3");
+        assert_eq!(c.remaining(), 3);
+        assert_eq!(c.bytes(3), Ok(&buf[..]));
+        assert!(c.u8().is_err());
+    }
+
+    #[test]
+    fn finish_rejects_trailing_bytes() {
+        let buf = [7u8, 0, 0];
+        let mut c = Cursor::new(&buf);
+        assert_eq!(c.u8(), Ok(7));
+        assert_eq!(c.finish(), Err(CodecError("2 trailing bytes".into())));
+    }
+
+    #[test]
+    fn rank_zero_and_empty_tensors_roundtrip() {
+        // A rank-0 tensor holds one element; a zero dimension holds none
+        // and reads no element bytes.
+        for t in [
+            Tensor::from_vec(vec![2.5], &[]),
+            Tensor::from_vec(vec![], &[3, 0]),
+        ] {
+            let mut buf = Vec::new();
+            put_tensor(&mut buf, &t);
+            assert_eq!(buf.len(), tensor_len(&t));
+            let mut c = Cursor::new(&buf);
+            assert_eq!(c.tensor().expect("read"), t);
+            c.finish().expect("whole buffer");
+        }
+    }
+
+    #[test]
+    fn tensor_len_matches_put_tensor_at_every_rank() {
+        for rank in 1..=MAX_RANK {
+            let dims: Vec<usize> = (0..rank).map(|d| d + 1).collect();
+            let t = Tensor::from_fn(&dims, |i| i as f32);
+            let mut buf = Vec::new();
+            put_tensor(&mut buf, &t);
+            assert_eq!(buf.len(), tensor_len(&t), "rank {rank}");
+            assert_eq!(Cursor::new(&buf).tensor().expect("read"), t);
+        }
+    }
+
+    #[test]
+    fn element_bits_survive_exactly() {
+        // NaN payloads, signed zeros, infinities and subnormals are copied
+        // as bits, not as values.
+        let bits = [
+            0x7FC0_0001u32,
+            0xFFC0_1234,
+            0x8000_0000,
+            0x7F80_0000,
+            0xFF80_0000,
+            0x0000_0001,
+        ];
+        let t = Tensor::from_vec(bits.iter().map(|&b| f32::from_bits(b)).collect(), &[6]);
+        let mut buf = Vec::new();
+        put_tensor(&mut buf, &t);
+        let back = Cursor::new(&buf).tensor().expect("read");
+        let back: Vec<u32> = back.data().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(back, bits);
+    }
+
+    #[test]
+    fn every_truncation_of_a_tensor_is_an_error() {
+        let t = Tensor::from_fn(&[2, 3, 4], |i| i as f32);
+        let mut buf = Vec::new();
+        put_tensor(&mut buf, &t);
+        for len in 0..buf.len() {
+            assert!(Cursor::new(&buf[..len]).tensor().is_err(), "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn fnv1a_sees_every_single_byte_change() {
+        let buf: Vec<u8> = (0..64u8).collect();
+        let digest = fnv1a(&buf);
+        let mut edited = buf.clone();
+        for i in 0..buf.len() {
+            for delta in [1u8, 0x80, 0xFF] {
+                edited[i] = buf[i].wrapping_add(delta);
+                assert_ne!(fnv1a(&edited), digest, "byte {i} + {delta}");
+            }
+            edited[i] = buf[i];
+        }
+    }
+
+    #[test]
+    fn mix64_has_no_collisions_on_a_dense_range() {
+        let mut seen: Vec<u64> = (0..4096).map(mix64).collect();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 4096);
+    }
+
+    #[test]
     fn hashes_match_their_reference_values() {
         // FNV-1a's published test vectors, and SplitMix64's first output
         // for seed 0.
