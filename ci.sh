@@ -21,10 +21,10 @@
 #
 # The fairness stage runs the adversarial multi-tenant suite
 # (tests/tests/fairness.rs): a flooding batch tenant vs an interactive
-# SLO, explicit per-tenant quota verdicts, DRR weight proportionality
-# under saturation, and sim-vs-live policy-ranking agreement — pinned to
-# one kernel thread and a wall-clock budget like the drill, and run five
-# times so a schedule-dependent failure shows.
+# SLO, explicit per-tenant quota verdicts and DRR weight proportionality
+# under saturation — pinned to one kernel thread and a wall-clock budget
+# like the drill, and run five times so a schedule-dependent failure
+# shows.
 #
 # The drill stage runs both schedules of the cluster drill
 # (tests/tests/cluster.rs) against announced nodes behind fluid-router
@@ -39,10 +39,10 @@
 # loudly instead of stalling the pipeline.
 #
 # The doc stage also runs a ratchet on unused public surface: it lists
-# every `pub fn` in fluid-tensor and fluid-nn whose name no *.rs file
-# outside the defining crate's src/ mentions (other crates, the crate's
-# own tests/, benchmark/, examples/, tests/) and compares the list with
-# unused-pub.allow. A new unused name fails, and so does an allow-listed
+# every `pub fn` in fluid-tensor, fluid-nn and fluid-perf whose name no
+# *.rs file outside the defining crate's src/ mentions (other crates, the
+# crate's own tests/, benchmark/, examples/, tests/) and compares the list
+# with unused-pub.allow. A new unused name fails, and so does an allow-listed
 # name that is now used or gone, so the list can only shrink.
 #
 # The doc stage runs a second ratchet, on timer waits: it counts, per
@@ -79,11 +79,11 @@ stage_clippy() {
     cargo clippy --all-targets -- -D warnings
 }
 
-# Prints "crate name" for each `pub fn` of fluid-tensor and fluid-nn that
-# no *.rs file outside the defining crate's src/ names.
+# Prints "crate name" for each `pub fn` of fluid-tensor, fluid-nn and
+# fluid-perf that no *.rs file outside the defining crate's src/ names.
 unused_pub_fns() {
     local crate name files
-    for crate in tensor nn; do
+    for crate in tensor nn perf; do
         files=$(find . -name '*.rs' -not -path './target/*' -not -path './benchmark/target/*' \
             -not -path './.bench_build/*' -not -path "./crates/$crate/src/*")
         for name in $(grep -rhoE '\bpub fn [A-Za-z0-9_]+' "crates/$crate/src" | awk '{print $3}' | sort -u); do
@@ -139,7 +139,7 @@ stage_doc() {
             missing=1
         fi
     done
-    echo "==> unused pub fn ratchet (fluid-tensor, fluid-nn vs unused-pub.allow)"
+    echo "==> unused pub fn ratchet (fluid-tensor, fluid-nn, fluid-perf vs unused-pub.allow)"
     local drift
     drift=$(diff <(unused_pub_fns | LC_ALL=C sort) \
         <(grep -v '^#' unused-pub.allow | LC_ALL=C sort) || true)

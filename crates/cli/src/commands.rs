@@ -729,34 +729,17 @@ fn cmd_autoscale(args: &ArgMap) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_reload(args: &ArgMap) -> Result<(), CliError> {
+/// The two fleets `fluidctl reload` swaps between, each with its
+/// precision. Every input, the replacement checkpoint included, is read
+/// and validated here, before any server starts: a bad file is refused
+/// up front instead of mid-traffic.
+fn reload_engines(args: &ArgMap) -> Result<[(ServingEngine, Precision); 2], CliError> {
     let (mut net, spec) = serving_model(args)?;
-    let workers = args.usize_or("workers", 2)?.max(1);
-    let requests = args.usize_or("requests", 200)?.max(2);
-    let clients = args.usize_or("clients", 4)?.max(1);
-    let seed = args.u64_or("seed", 42)?;
     let precision = parse_precision(args, "precision", Precision::F32)?;
     // The fleet swapped in may run at a different precision — the f32↔int8
     // A/B recipe (`--precision f32 --new-precision int8`, or the reverse).
     let new_precision = parse_precision(args, "new-precision", precision)?;
-
     let v1 = ServingEngine::build(&mut net, &spec, precision)?;
-    let server = Server::start(serve_config(args)?, v1.backends(workers, "v1-"))
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    let handle = server.handle();
-    let inputs = loadgen_inputs(seed);
-
-    println!("driving {clients} closed-loop clients while swapping models...");
-    let load = {
-        let handle = handle.clone();
-        std::thread::spawn(move || {
-            loadgen::run_closed_loop(|_| Ok(handle.clone()), clients, requests, &inputs)
-        })
-    };
-    // Let traffic build before the cutover, so the swap is exercised
-    // under load rather than on an idle server.
-    std::thread::sleep(Duration::from_millis(50));
-
     match args.str_or("new-model-file", "") {
         "" => println!("no --new-model-file: re-deploying the same weights (bit-identical swap)"),
         path => {
@@ -768,23 +751,51 @@ fn cmd_reload(args: &ArgMap) -> Result<(), CliError> {
     // Built after the optional weight reload so an int8 v2 calibrates the
     // weights it will actually serve.
     let v2 = ServingEngine::build(&mut net, &spec, new_precision)?;
+    Ok([(v1, precision), (v2, new_precision)])
+}
+
+fn cmd_reload(args: &ArgMap) -> Result<(), CliError> {
+    let workers = args.usize_or("workers", 2)?.max(1);
+    let requests = args.usize_or("requests", 200)?.max(2);
+    let clients = args.usize_or("clients", 4)?.max(1);
+    let seed = args.u64_or("seed", 42)?;
+    let [(v1, precision), (v2, new_precision)] = reload_engines(args)?;
+    let server = Server::start(serve_config(args)?, v1.backends(workers, "v1-"))
+        .map_err(|e| CliError::Run(e.to_string()))?;
+    let handle = server.handle();
+    let inputs = loadgen_inputs(seed);
+
+    println!("driving {clients} closed-loop clients while swapping models...");
+    let load = std::thread::spawn(move || {
+        loadgen::run_closed_loop(|_| Ok(handle.clone()), clients, requests, &inputs)
+    });
+    // Let traffic build before the cutover, so the swap is exercised
+    // under load rather than on an idle server.
+    std::thread::sleep(Duration::from_millis(50));
     let t0 = Instant::now();
-    server
+    let swapped = server
         .elastic()
         .hot_swap(v2.backends(workers, "v2-"), Duration::from_secs(30))
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    println!(
-        "hot swap: {workers} old {precision} slots drained and retired, \
-         {workers} new {new_precision} slots live in {:.1} ms",
-        t0.elapsed().as_secs_f64() * 1e3
-    );
-
-    let report = load
-        .join()
-        .map_err(|_| CliError::Run("load thread panicked".into()))?
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    println!("{report}");
+        .map_err(|e| CliError::Run(e.to_string()));
+    if swapped.is_ok() {
+        println!(
+            "hot swap: {workers} old {precision} slots drained and retired, \
+             {workers} new {new_precision} slots live in {:.1} ms",
+            t0.elapsed().as_secs_f64() * 1e3
+        );
+    }
+    // Whatever the swap did, the load finishes and the server shuts down
+    // before any error is returned.
+    let report = match load.join() {
+        Ok(report) => report.map_err(|e| CliError::Run(e.to_string())),
+        Err(_) => Err(CliError::Run("load thread panicked".into())),
+    };
+    if let Ok(report) = &report {
+        println!("{report}");
+    }
     println!("\n{}", server.shutdown());
+    swapped?;
+    let report = report?;
     if report.failed > 0 {
         return Err(CliError::Run(format!(
             "{} requests failed during the swap (expected zero)",
@@ -1170,6 +1181,29 @@ mod tests {
             "9",
         ]))
         .expect("f32 -> int8 hot swap");
+    }
+
+    #[test]
+    fn reload_refuses_a_corrupt_new_model_file_before_serving() {
+        let path =
+            std::env::temp_dir().join(format!("fluidctl_corrupt_{}.fldn", std::process::id()));
+        std::fs::write(&path, b"FLDN not a checkpoint").expect("write");
+        let path_s = path.to_string_lossy().to_string();
+        let args = ArgMap::parse(argv(&["--new-model-file", &path_s])).expect("args");
+        let err = reload_engines(&args).err().expect("corrupt checkpoint");
+        assert!(err.to_string().contains("checkpoint"), "{err}");
+        // A server could not even start under `--max-batch 0`, so an error
+        // about the file shows it was read before any server was built.
+        let err = run(&argv(&[
+            "reload",
+            "--new-model-file",
+            &path_s,
+            "--max-batch",
+            "0",
+        ]))
+        .expect_err("corrupt checkpoint");
+        assert!(err.to_string().contains("checkpoint"), "{err}");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

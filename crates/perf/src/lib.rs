@@ -30,21 +30,14 @@
 
 mod comm;
 mod device;
-mod elastic;
 mod energy;
 mod histogram;
 mod queueing;
 mod scenario;
-mod tenants;
 
 pub use comm::CommModel;
 pub use device::DeviceModel;
-pub use elastic::{simulate_elastic, ElasticPolicy, ElasticSimReport};
 pub use energy::{scenario_energy, standalone_energy, EnergyReport, PowerModel};
 pub use histogram::LatencyHistogram;
-pub use queueing::{
-    percentile, simulate, simulate_cluster, ClusterScenario, ClusterSimReport, NodeOutage, Policy,
-    RouterOutage, SampleWindow, SimReport,
-};
+pub use queueing::{percentile, simulate, Policy, SampleWindow, SimReport};
 pub use scenario::{DeviceAvailability, Fig2Row, ModelFamily, ScenarioResult, SystemModel};
-pub use tenants::{simulate_tenants, SimTenant, TenantDiscipline, TenantSimReport, TenantSimRow};

@@ -20,15 +20,15 @@
 //!   waiting for the cooldown.
 //!
 //! Every decision is recorded as a [`ScaleEvent`], so tests and
-//! operators can audit exactly why capacity moved. The same watermark
-//! rules are simulated offline by `fluid_perf::simulate_elastic`, which
-//! is how the knobs here were chosen.
+//! operators can audit exactly why capacity moved. The rules are one pure
+//! step, `Rules::tick` (no clock, thread or server), which the controller
+//! thread drives: it observes, ticks, and carries out the decision.
 
 use crate::backend::Backend;
 use crate::error::ServeError;
 use crate::server::ElasticHandle;
 use fluid_perf::percentile;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -219,7 +219,9 @@ impl std::fmt::Display for ScaleEvent {
 /// assert!(events.iter().all(|e| e.to_string().contains("workers")));
 /// ```
 pub struct Autoscaler {
-    stop: Arc<AtomicBool>,
+    /// Dropping the sender wakes the controller out of its tick wait and
+    /// ends it.
+    stop: Option<mpsc::Sender<()>>,
     events: Arc<Mutex<Vec<ScaleEvent>>>,
     thread: Option<JoinHandle<()>>,
 }
@@ -247,15 +249,14 @@ impl Autoscaler {
         cfg: AutoscaleConfig,
     ) -> Result<Autoscaler, ServeError> {
         cfg.validate()?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let (stop, stopped) = mpsc::channel();
         let events = Arc::new(Mutex::new(Vec::new()));
         let thread = {
-            let stop = Arc::clone(&stop);
             let events = Arc::clone(&events);
-            std::thread::spawn(move || controller_loop(&elastic, factory, &cfg, &stop, &events))
+            std::thread::spawn(move || controller_loop(&elastic, factory, cfg, &stopped, &events))
         };
         Ok(Autoscaler {
-            stop,
+            stop: Some(stop),
             events,
             thread: Some(thread),
         })
@@ -277,7 +278,7 @@ impl Autoscaler {
     }
 
     fn halt(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        drop(self.stop.take());
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -291,7 +292,7 @@ impl Drop for Autoscaler {
 }
 
 /// One controller observation: everything a decision is based on.
-struct Observation {
+pub(crate) struct Observation {
     queue_depth: usize,
     shed_delta: u64,
     recent_p95_ms: f64,
@@ -299,154 +300,168 @@ struct Observation {
     alive: usize,
 }
 
-fn controller_loop<F: BackendFactory>(
-    elastic: &ElasticHandle,
-    mut factory: F,
-    cfg: &AutoscaleConfig,
-    stop: &AtomicBool,
-    events: &Mutex<Vec<ScaleEvent>>,
-) {
-    let t0 = Instant::now();
-    let mut last_shed = elastic.metrics().shed;
-    let mut calm_ticks = 0usize;
-    let mut cooldown = 0usize;
-    while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(cfg.tick);
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let m = elastic.metrics();
-        let shed_delta = m.shed.saturating_sub(last_shed);
-        last_shed = m.shed;
-        let mut recent = elastic.take_recent_latencies_ms();
-        recent.sort_by(f64::total_cmp);
-        let obs = Observation {
-            queue_depth: m.queue_depth,
-            shed_delta,
-            recent_p95_ms: percentile(&recent, 0.95),
-            recent_samples: recent.len(),
-            alive: elastic.alive_workers(),
-        };
+/// What one tick decided.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Decision {
+    /// Add one worker; the string is the observation that called for it.
+    Up(String),
+    /// Drain and retire one worker after this many consecutive calm ticks.
+    Down { calm_ticks: usize },
+}
 
+/// The controller's decision rules: [`AutoscaleConfig`] plus the two
+/// counters that carry over between ticks.
+pub(crate) struct Rules {
+    cfg: AutoscaleConfig,
+    calm_ticks: usize,
+    cooldown: usize,
+}
+
+impl Rules {
+    pub(crate) fn new(cfg: AutoscaleConfig) -> Rules {
+        Rules {
+            cfg,
+            calm_ticks: 0,
+            cooldown: 0,
+        }
+    }
+
+    /// Decides one tick from `obs`. Any decision starts a cooldown of
+    /// `cooldown_ticks` ticks, whether or not the driver manages to carry
+    /// it out.
+    pub(crate) fn tick(&mut self, obs: &Observation) -> Option<Decision> {
+        let cfg = &self.cfg;
         // Self-heal below the floor, cooldown or not: a dead worker must
         // not leave the pool under-provisioned for `cooldown_ticks`.
         if obs.alive < cfg.min_workers {
-            scale_up(
-                elastic,
-                &mut factory,
-                events,
-                t0,
-                &obs,
-                format!(
-                    "{} accepting workers below min {}",
-                    obs.alive, cfg.min_workers
-                ),
-            );
-            cooldown = cfg.cooldown_ticks;
-            calm_ticks = 0;
-            continue;
+            self.cooldown = cfg.cooldown_ticks;
+            self.calm_ticks = 0;
+            return Some(Decision::Up(format!(
+                "{} accepting workers below min {}",
+                obs.alive, cfg.min_workers
+            )));
         }
-        if cooldown > 0 {
-            cooldown -= 1;
-            continue;
+        if self.cooldown > 0 {
+            self.cooldown -= 1;
+            return None;
         }
 
         let latency_hot =
             cfg.up_p95_ms > 0.0 && obs.recent_samples > 0 && obs.recent_p95_ms > cfg.up_p95_ms;
         let hot = obs.queue_depth >= cfg.up_queue_depth || obs.shed_delta > 0 || latency_hot;
         if hot {
-            calm_ticks = 0;
-            if obs.alive < cfg.max_workers {
-                let reason = if obs.shed_delta > 0 {
-                    format!("{} requests shed since last tick", obs.shed_delta)
-                } else if obs.queue_depth >= cfg.up_queue_depth {
-                    format!(
-                        "queue depth {} at high-water mark {}",
-                        obs.queue_depth, cfg.up_queue_depth
-                    )
-                } else {
-                    format!(
-                        "recent p95 {:.1}ms over target {:.1}ms",
-                        obs.recent_p95_ms, cfg.up_p95_ms
-                    )
-                };
-                scale_up(elastic, &mut factory, events, t0, &obs, reason);
-                cooldown = cfg.cooldown_ticks;
+            self.calm_ticks = 0;
+            if obs.alive >= cfg.max_workers {
+                return None;
             }
-            continue;
+            let reason = if obs.shed_delta > 0 {
+                format!("{} requests shed since last tick", obs.shed_delta)
+            } else if obs.queue_depth >= cfg.up_queue_depth {
+                format!(
+                    "queue depth {} at high-water mark {}",
+                    obs.queue_depth, cfg.up_queue_depth
+                )
+            } else {
+                format!(
+                    "recent p95 {:.1}ms over target {:.1}ms",
+                    obs.recent_p95_ms, cfg.up_p95_ms
+                )
+            };
+            self.cooldown = cfg.cooldown_ticks;
+            return Some(Decision::Up(reason));
         }
 
         let calm = obs.queue_depth <= cfg.down_queue_depth && obs.shed_delta == 0;
         if !calm {
-            calm_ticks = 0;
-            continue;
+            self.calm_ticks = 0;
+            return None;
         }
-        calm_ticks += 1;
-        if calm_ticks >= cfg.idle_ticks && obs.alive > cfg.min_workers {
-            scale_down(elastic, cfg, events, t0, calm_ticks);
-            cooldown = cfg.cooldown_ticks;
-            calm_ticks = 0;
+        self.calm_ticks += 1;
+        if self.calm_ticks < cfg.idle_ticks || obs.alive <= cfg.min_workers {
+            return None;
+        }
+        let calm_ticks = std::mem::take(&mut self.calm_ticks);
+        self.cooldown = cfg.cooldown_ticks;
+        Some(Decision::Down { calm_ticks })
+    }
+}
+
+fn observe(elastic: &ElasticHandle, last_shed: &mut u64) -> Observation {
+    let m = elastic.metrics();
+    let shed_delta = m.shed.saturating_sub(*last_shed);
+    *last_shed = m.shed;
+    let mut recent = elastic.take_recent_latencies_ms();
+    recent.sort_by(f64::total_cmp);
+    Observation {
+        queue_depth: m.queue_depth,
+        shed_delta,
+        recent_p95_ms: percentile(&recent, 0.95),
+        recent_samples: recent.len(),
+        alive: elastic.alive_workers(),
+    }
+}
+
+/// The driver: every `cfg.tick` until `stopped` fires or disconnects, it
+/// observes, asks [`Rules::tick`], carries out the decision and logs it.
+fn controller_loop<F: BackendFactory>(
+    elastic: &ElasticHandle,
+    mut factory: F,
+    cfg: AutoscaleConfig,
+    stopped: &mpsc::Receiver<()>,
+    events: &Mutex<Vec<ScaleEvent>>,
+) {
+    let t0 = Instant::now();
+    let mut last_shed = elastic.metrics().shed;
+    let mut rules = Rules::new(cfg);
+    while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(rules.cfg.tick) {
+        let obs = observe(elastic, &mut last_shed);
+        let done = match rules.tick(&obs) {
+            Some(Decision::Up(reason)) => Some(scale_up(elastic, &mut factory, obs.alive, reason)),
+            Some(Decision::Down { calm_ticks }) => scale_down(elastic, &rules.cfg, calm_ticks),
+            None => None,
+        };
+        if let Some((action, workers_before, workers_after, reason)) = done {
+            let event = ScaleEvent {
+                at: t0.elapsed(),
+                action,
+                workers_before,
+                workers_after,
+                reason,
+            };
+            events.lock().unwrap_or_else(|e| e.into_inner()).push(event);
         }
     }
 }
 
-fn push_event(
-    events: &Mutex<Vec<ScaleEvent>>,
-    t0: Instant,
-    action: ScaleAction,
-    workers_before: usize,
-    workers_after: usize,
-    reason: String,
-) {
-    events
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(ScaleEvent {
-            at: t0.elapsed(),
-            action,
-            workers_before,
-            workers_after,
-            reason,
-        });
-}
-
+/// Adds one slot from `factory`. Returns what a [`ScaleEvent`] logs:
+/// the action, the accepting workers before and after, and the reason.
 fn scale_up<F: BackendFactory>(
     elastic: &ElasticHandle,
     factory: &mut F,
-    events: &Mutex<Vec<ScaleEvent>>,
-    t0: Instant,
-    obs: &Observation,
+    alive: usize,
     reason: String,
-) {
-    let slot = elastic.slot_count();
-    let outcome = factory.build(slot).and_then(|backend| elastic.add(backend));
-    match outcome {
-        Ok(_) => push_event(
-            events,
-            t0,
-            ScaleAction::Up,
-            obs.alive,
-            obs.alive + 1,
-            reason,
-        ),
-        Err(e) => push_event(
-            events,
-            t0,
+) -> (ScaleAction, usize, usize, String) {
+    match factory
+        .build(elastic.slot_count())
+        .and_then(|b| elastic.add(b))
+    {
+        Ok(_) => (ScaleAction::Up, alive, alive + 1, reason),
+        Err(e) => (
             ScaleAction::Failed,
-            obs.alive,
-            obs.alive,
+            alive,
+            alive,
             format!("scale-up failed: {e}"),
         ),
     }
 }
 
+/// Drains and retires one slot, as [`scale_up`] reports; `None` when no
+/// slot may go.
 fn scale_down(
     elastic: &ElasticHandle,
     cfg: &AutoscaleConfig,
-    events: &Mutex<Vec<ScaleEvent>>,
-    t0: Instant,
     calm_ticks: usize,
-) {
+) -> Option<(ScaleAction, usize, usize, String)> {
     // Victim: the accepting slot with the fewest in-flight rows, ties to
     // the youngest slot (scale down LIFO).
     let m = elastic.metrics();
@@ -461,36 +476,28 @@ fn scale_down(
                 usize::MAX - i,
             )
         })
-        .map(|(i, _)| i);
-    let Some(victim) = victim else {
-        return;
-    };
+        .map(|(i, _)| i)?;
     // Re-check the floor at action time: a worker death since the tick's
     // observation (obs.alive) would otherwise let this retire take the
     // pool below min_workers — or to zero accepting slots.
     let alive_now = elastic.alive_workers();
     if alive_now <= cfg.min_workers {
-        return;
+        return None;
     }
-    let reason = format!("calm for {calm_ticks} ticks; retiring slot {victim}");
-    match elastic.retire(victim, cfg.retire_timeout) {
-        Ok(()) => push_event(
-            events,
-            t0,
+    Some(match elastic.retire(victim, cfg.retire_timeout) {
+        Ok(()) => (
             ScaleAction::Down,
             alive_now,
             alive_now - 1,
-            reason,
+            format!("calm for {calm_ticks} ticks; retiring slot {victim}"),
         ),
-        Err(e) => push_event(
-            events,
-            t0,
+        Err(e) => (
             ScaleAction::Failed,
             alive_now,
             elastic.alive_workers(),
             format!("scale-down failed: {e}"),
         ),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -668,5 +675,142 @@ mod tests {
         assert!(text.contains("UP"), "{text}");
         assert!(text.contains("1 -> 2"), "{text}");
         assert!(text.contains("high-water"), "{text}");
+    }
+
+    #[test]
+    fn stop_returns_at_once_with_an_hour_long_tick() {
+        let m = model();
+        let server = Server::start(ServeConfig::default(), vec![backend("b0", &m)]).expect("start");
+        let cfg = AutoscaleConfig {
+            tick: Duration::from_secs(3600),
+            ..AutoscaleConfig::default()
+        };
+        let scaler = Autoscaler::spawn(server.elastic(), factory(&m), cfg).expect("spawn");
+        let t0 = Instant::now();
+        assert_eq!(scaler.stop(), Vec::new());
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "stop took {took:?}");
+    }
+
+    // The rule step, driven over scripted observations: one expected
+    // decision per tick, no thread and no clock.
+
+    fn rules(min_workers: usize, max_workers: usize, idle_ticks: usize, cooldown: usize) -> Rules {
+        Rules::new(AutoscaleConfig {
+            min_workers,
+            max_workers,
+            idle_ticks,
+            cooldown_ticks: cooldown,
+            up_queue_depth: 8,
+            down_queue_depth: 1,
+            up_p95_ms: 50.0,
+            ..AutoscaleConfig::default()
+        })
+    }
+
+    fn obs(
+        alive: usize,
+        queue_depth: usize,
+        shed_delta: u64,
+        p95_ms: f64,
+        samples: usize,
+    ) -> Observation {
+        Observation {
+            queue_depth,
+            shed_delta,
+            recent_p95_ms: p95_ms,
+            recent_samples: samples,
+            alive,
+        }
+    }
+
+    /// One tick per `(alive, queue_depth)` pair, nothing shed, no latencies.
+    fn run(rules: &mut Rules, script: &[(usize, usize)]) -> Vec<Option<Decision>> {
+        script
+            .iter()
+            .map(|&(alive, depth)| rules.tick(&obs(alive, depth, 0, 0.0, 0)))
+            .collect()
+    }
+
+    fn up(reason: &str) -> Option<Decision> {
+        Some(Decision::Up(reason.into()))
+    }
+
+    fn down(calm_ticks: usize) -> Option<Decision> {
+        Some(Decision::Down { calm_ticks })
+    }
+
+    #[test]
+    fn self_heal_fires_inside_a_cooldown_and_restarts_it() {
+        let mut r = rules(2, 4, 100, 3);
+        let (hot, heal) = (
+            up("queue depth 8 at high-water mark 8"),
+            up("1 accepting workers below min 2"),
+        );
+        let script = [(2, 8), (1, 0), (2, 8), (2, 8), (2, 8), (2, 8)];
+        assert_eq!(
+            run(&mut r, &script),
+            [hot.clone(), heal, None, None, None, hot]
+        );
+    }
+
+    #[test]
+    fn cooldown_ticks_neither_decide_nor_count_as_calm() {
+        let mut r = rules(1, 4, 2, 2);
+        let script = [(2, 8), (2, 0), (2, 0), (2, 0), (2, 0)];
+        let hot = up("queue depth 8 at high-water mark 8");
+        assert_eq!(run(&mut r, &script), [hot, None, None, None, down(2)]);
+    }
+
+    #[test]
+    fn a_hot_or_lukewarm_tick_resets_the_calm_streak() {
+        // Hot at max_workers: nothing to add, but the streak still resets.
+        let mut r = rules(1, 2, 3, 0);
+        let script = [(2, 0), (2, 0), (2, 9), (2, 0), (2, 0), (2, 0)];
+        assert_eq!(
+            run(&mut r, &script),
+            [None, None, None, None, None, down(3)]
+        );
+        // Between the water marks (1 < 4 < 8): neither hot nor calm.
+        let mut r = rules(1, 2, 3, 0);
+        let script = [(2, 1), (2, 1), (2, 4), (2, 1), (2, 1), (2, 1)];
+        assert_eq!(
+            run(&mut r, &script),
+            [None, None, None, None, None, down(3)]
+        );
+    }
+
+    #[test]
+    fn up_reasons_rank_shed_over_depth_over_p95() {
+        let mut r = rules(1, 10, 100, 0);
+        let script = [
+            obs(1, 9, 3, 80.0, 5),
+            obs(1, 9, 0, 80.0, 5),
+            obs(1, 0, 0, 80.0, 5),
+            obs(1, 0, 0, 80.0, 0), // a p95 over no samples is no signal
+        ];
+        let got: Vec<_> = script.iter().map(|o| r.tick(o)).collect();
+        let want = [
+            up("3 requests shed since last tick"),
+            up("queue depth 9 at high-water mark 8"),
+            up("recent p95 80.0ms over target 50.0ms"),
+            None,
+        ];
+        assert_eq!(got, want);
+        // up_p95_ms = 0 switches the latency trigger off.
+        r.cfg.up_p95_ms = 0.0;
+        assert_eq!(r.tick(&script[2]), None);
+    }
+
+    #[test]
+    fn calm_streak_retires_at_idle_ticks_only_above_the_floor() {
+        let mut r = rules(1, 4, 3, 0);
+        // At the floor the streak keeps counting but never retires...
+        let floor = [(1, 0), (1, 1), (1, 0), (1, 0), (1, 0)];
+        assert_eq!(run(&mut r, &floor), [None, None, None, None, None]);
+        // ...so the first calm tick above it retires at once, and the
+        // next retirement waits a full fresh streak.
+        let above = [(2, 0), (2, 0), (2, 0), (2, 0)];
+        assert_eq!(run(&mut r, &above), [down(6), None, None, down(3)]);
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! This module is the *policy core* — pure data structures with no threads
 //! and no clocks of their own (callers pass `Instant`s in), so every rule
-//! the live scheduler enforces is unit-testable in isolation and replayable
-//! offline by `fluid_perf::simulate_tenants`. The live wiring lives in
+//! the live scheduler enforces is unit-testable in isolation: the tests
+//! below pin `DrrState::assemble` batch by batch. The live wiring lives in
 //! `server.rs`; the adversarial proof lives in `tests/tests/fairness.rs`
 //! and the DRR proptests in `crates/serve/tests/drr_props.rs`.
 
@@ -184,7 +184,7 @@ impl TenancyConfig {
 /// `rate` tokens/s up to `burst`, spends one token per admitted request.
 ///
 /// Time is passed in by the caller, so the bucket is deterministic under
-/// test and replayable by the offline simulator.
+/// test.
 #[derive(Debug, Clone)]
 pub struct TokenBucket {
     tokens: f64,
@@ -524,6 +524,58 @@ mod tests {
                 queues[0].push_back(1); // the flood never drains
             }
         }
+    }
+
+    /// One `assemble` call: the queue index of each boarded row.
+    fn board(
+        state: &mut DrrState,
+        queues: &mut [VecDeque<usize>],
+        weights: &[u32],
+        max_batch: usize,
+    ) -> Vec<usize> {
+        let order: Vec<usize> = (0..queues.len()).collect();
+        let mut out = Vec::new();
+        state.assemble(queues, &order, weights, max_batch, |&r| r, &mut out);
+        out.into_iter().map(|(slot, _)| slot).collect()
+    }
+
+    #[test]
+    fn a_queue_drained_mid_visit_reenters_with_zero_credit() {
+        // Queue 0 (weight 3) drains after one row with 2 credit left, and
+        // the batch fills before the ring comes back round to it.
+        let mut queues = [
+            VecDeque::from(vec![1usize]),
+            VecDeque::from(vec![1usize; 10]),
+        ];
+        let mut state = DrrState::new(2);
+        assert_eq!(board(&mut state, &mut queues, &[3, 2], 3), [0, 1, 1]);
+        assert_eq!(state.deficits, [0, 0]);
+        // Refilled between batches, it re-enters on a plain quantum of 3,
+        // not 3 + the 2 it would have banked while empty: three rows use
+        // it all up...
+        queues[0].extend([1; 10]);
+        assert_eq!(board(&mut state, &mut queues, &[3, 2], 3), [0, 0, 0]);
+        assert_eq!(state.deficits, [0, 0]);
+        // ...so its resumed visit boards nothing, and queue 1 opens the
+        // next batch.
+        assert_eq!(board(&mut state, &mut queues, &[3, 2], 3), [1, 1, 0]);
+    }
+
+    #[test]
+    fn a_capacity_blocked_head_resumes_without_a_fresh_quantum() {
+        // Queue 1's 3-row head (weight 3) is blocked by capacity behind one
+        // row of queue 0. It opens the next batch on the 3 credit it had,
+        // then has none left: the batch after that must go back to queue 0
+        // rather than hand queue 1 another quantum on resume.
+        let mut queues = [
+            VecDeque::from(vec![1usize; 20]),
+            VecDeque::from(vec![3usize; 4]),
+        ];
+        let mut state = DrrState::new(2);
+        let batches: Vec<Vec<usize>> = (0..5)
+            .map(|_| board(&mut state, &mut queues, &[1, 3], 3))
+            .collect();
+        assert_eq!(batches, [vec![0], vec![1], vec![0], vec![1], vec![0]]);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 
 use fluid_dist::DistError;
 use fluid_models::{Arch, FluidModel};
-use fluid_perf::{simulate_elastic, ElasticPolicy};
 use fluid_serve::{
     loadgen, AutoscaleConfig, Autoscaler, Backend, EngineBackend, ServeConfig, Server,
 };
@@ -56,15 +55,6 @@ fn backends(model: &FluidModel, count: usize, prefix: &str) -> Vec<Box<dyn Backe
 
 fn main() {
     println!("=== Elastic serving: autoscale + zero-downtime hot swap ===\n");
-
-    // What should the controller do under a 2.5× surge? Ask the offline
-    // decision simulator first — the same watermark rules, no threads.
-    let policy = ElasticPolicy::default();
-    let predicted = simulate_elastic(0.005, &policy, &[(1.0, 50.0), (2.0, 500.0)], 42);
-    println!(
-        "offline decision sim: a 50→500 req/s surge should grow the pool to ~{} servers\n",
-        predicted.peak_servers
-    );
 
     let model = FluidModel::new(Arch::paper(), &mut Prng::new(0));
     let mut cfg = ServeConfig::default();

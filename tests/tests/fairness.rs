@@ -7,15 +7,16 @@
 //!   its latency SLO;
 //! * an exhausted admission quota is an explicit per-tenant verdict while
 //!   other tenants proceed untouched;
-//! * DRR weights divide a saturated server's throughput proportionally;
-//! * the offline policy model (`fluid_perf::simulate_tenants`) ranks
-//!   scheduling disciplines the same way the live server does.
+//! * DRR weights divide a saturated server's throughput proportionally.
+//!
+//! The exact batch-by-batch DRR rules (credit reset on a drained queue, no
+//! fresh quantum on a capacity-blocked resume) are pinned by the
+//! `DrrState::assemble` traces in `crates/serve/src/sched.rs`.
 //!
 //! The backends here are synthetic timed stubs (sleep, then zeros): the
 //! suite is about *queueing* behaviour, so service time must be a knob,
 //! not a property of the conv kernels.
 
-use fluid_perf::{simulate_tenants, SimTenant, TenantDiscipline};
 use fluid_serve::{
     loadgen, Backend, ServeConfig, ServeError, Server, TenancyConfig, TenantClass, TenantLoad,
     TenantPolicy,
@@ -244,83 +245,6 @@ fn weights_divide_a_saturated_server_proportionally() {
         t.wait().expect("light served eventually");
     }
     server.shutdown();
-}
-
-#[test]
-fn offline_simulator_ranks_disciplines_like_the_live_server() {
-    // The same adversarial mix — polite interactive tenant vs 10× batch
-    // flood — run three ways: offline under GlobalFifo, offline under
-    // WeightedDrr, and live (whose scheduler is the DRR policy). The
-    // simulator must rank DRR better for interactive p95, and the live
-    // DRR result must agree with the simulator's ranking by beating the
-    // simulated FIFO too.
-    let sim_tenants = [
-        SimTenant::new("web", true, 40.0),
-        SimTenant::new("etl", false, 400.0),
-    ];
-    // Mirror the live test's shape: 1 server, batch 8, ~20ms + 100µs/row,
-    // which puts the offered 440 req/s past the ~385 req/s capacity.
-    let fifo = simulate_tenants(
-        100e-6,
-        20e-3,
-        1,
-        8,
-        64,
-        TenantDiscipline::GlobalFifo,
-        &sim_tenants,
-        1.5,
-        11,
-    );
-    let drr = simulate_tenants(
-        100e-6,
-        20e-3,
-        1,
-        8,
-        64,
-        TenantDiscipline::WeightedDrr,
-        &sim_tenants,
-        1.5,
-        11,
-    );
-    let sim_fifo_web_p95_ms = fifo.tenants[0].p95_sojourn_s * 1e3;
-    let sim_drr_web_p95_ms = drr.tenants[0].p95_sojourn_s * 1e3;
-    assert!(
-        sim_drr_web_p95_ms < sim_fifo_web_p95_ms,
-        "simulator must prefer DRR for interactive latency: \
-         DRR {sim_drr_web_p95_ms:.1}ms vs FIFO {sim_fifo_web_p95_ms:.1}ms"
-    );
-
-    // Live run of the same mix on the real (DRR) scheduler.
-    let server = Server::start(
-        serve_cfg(Some(web_etl(1, 1, 250.0))),
-        vec![TimedBackend::boxed("w0", 20, 100)],
-    )
-    .expect("start");
-    let plans = [
-        TenantLoad {
-            tenant: 1,
-            lambda: 40.0,
-            requests: 60,
-        },
-        TenantLoad {
-            tenant: 2,
-            lambda: 400.0,
-            requests: 600,
-        },
-    ];
-    loadgen::run_open_loop_tenants(&server.handle(), &plans, &[input()], 11);
-    let metrics = server.shutdown();
-    let live_web_p95_ms = metrics
-        .tenants
-        .iter()
-        .find(|t| t.name == "web")
-        .expect("web row")
-        .p95_ms;
-    assert!(
-        live_web_p95_ms < sim_fifo_web_p95_ms,
-        "live DRR ({live_web_p95_ms:.1}ms) must beat the simulated FIFO \
-         ({sim_fifo_web_p95_ms:.1}ms), matching the simulator's ranking"
-    );
 }
 
 #[test]
